@@ -311,7 +311,7 @@ def cmd_run(config_path: str) -> int:
     )
     exceeded = sum(r.budget_exceeded_rounds for r in result.runs)
     if exceeded:
-        worst = max(r.report.extras.get("max_gap", 0.0) for r in result.runs)
+        worst = max(float(np.max(r.trace.solver_gaps, initial=0.0)) for r in result.runs)
         print(
             f"error: solver budget exceeded in {exceeded} round(s); "
             f"outputs written; inspect per-round gaps (max recorded gap {worst:g})",

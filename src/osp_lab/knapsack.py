@@ -12,6 +12,7 @@ keeps every running sum a fixed-size coefficient vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -290,38 +291,122 @@ class KnapsackAggregate(PayoffFunction):
     def envelope_argmin(self, X, Y) -> float:
         """Exact minimizer of phi(x) = max_y of this aggregate over [0, ymax].
 
-        phi is convex with derivative -Rsum'(x) + 2*H*t*x + sum_i y_i*(x) *
-        Csum_i'(x), where y_i*(x) is the per-coordinate inner argmax
-        (clipped g_i/(2Ht), or bang-bang when H = 0); bisection on the
-        monotone derivative pins x* to machine precision."""
+        phi is convex with derivative dphi(x) = -Rsum'(x) + 2*H*t*x +
+        sum_i y_i*(x) * Csum_i'(x).  The inner argmax is
+        y_i*(x) = clip(g_i(x) / (2Ht), 0, ymax_i) with g_i = Csum_i - t*b_i/T,
+        or bang-bang ymax_i * [g_i(x) > 0] when H = 0.  Each y_i* changes
+        form only where g_i(x) = 0 or, when H > 0, g_i(x) = 2Ht*ymax_i: at
+        most 4m quadratic roots.  Between these breakpoints dphi is a smooth
+        nondecreasing polynomial.  It is piecewise cubic when H > 0, because
+        an interior y_i = g_i/(2Ht) is quadratic and multiplies the linear
+        Csum_i', and piecewise linear when H = 0 or no y_i is interior.
+
+        After the endpoint tests, the sign of dphi at the sorted breakpoints
+        brackets the sign change.  On that piece the root is closed form when
+        dphi is linear and safeguarded Newton otherwise, both to machine
+        precision.  When H = 0, dphi jumps at the roots of g_i, so the
+        minimizer may be the kink itself.  Ties resolve to
+        sup{x : dphi(x) <= 0}.
+        """
         lo, hi = float(X.lower[0]), float(X.upper[0])
-        ymax = Y.upper
-        ra2, ra1 = self.r_coef[0], self.r_coef[1]
-        ca2, ca1, _ = self.c_coef[:, 0], self.c_coef[:, 1], self.c_coef[:, 2]
-        tb = self.t * self.b_over_T
+        ra2, ra1 = float(self.r_coef[0]), float(self.r_coef[1])
         Ht2 = 2.0 * self.H * self.t
+        # (a2, a1, a0 - t*b_i/T, ymax_i) per resource; ymax_i = 0 pins y_i = 0
+        rows = [
+            (a2, a1, a0 - tb, ym)
+            for (a2, a1, a0), tb, ym in zip(
+                self.c_coef.tolist(), (self.t * self.b_over_T).tolist(), Y.upper.tolist()
+            )
+            if ym > 0.0
+        ]
+
+        def piece_at(xv: float):
+            """dphi on the piece holding xv: slope*x + icpt from the y_i at 0
+            or ymax_i, plus g_i*Csum_i'/(2Ht) for each interior y_i."""
+            slope, icpt, inner = Ht2 - 2.0 * ra2, -ra1, []
+            for a2, a1, c, ym in rows:
+                g = (a2 * xv + a1) * xv + c
+                if g <= 0.0:
+                    continue
+                if Ht2 > 0.0 and g < Ht2 * ym:
+                    inner.append((a2, a1, c))
+                else:
+                    slope += 2.0 * a2 * ym
+                    icpt += a1 * ym
+            return slope, icpt, inner
+
+        def on_piece(piece, xv: float) -> float:
+            slope, icpt, inner = piece
+            d = slope * xv + icpt
+            for a2, a1, c in inner:
+                d += ((a2 * xv + a1) * xv + c) * (2.0 * a2 * xv + a1) / Ht2
+            return d
 
         def dphi(xv: float) -> float:
-            g = self.c_coef @ np.array([xv * xv, xv, 1.0]) - tb
-            if Ht2 > 0.0:
-                y = np.clip(g / Ht2, 0.0, ymax)
-            else:
-                y = np.where(g > 0.0, ymax, 0.0)
-            cons_slope = 2.0 * ca2 * xv + ca1
-            return -(2.0 * ra2 * xv + ra1) + Ht2 * xv + float(y @ cons_slope)
+            return on_piece(piece_at(xv), xv)
 
         if dphi(lo) >= 0.0:
             return lo
         if dphi(hi) <= 0.0:
             return hi
-        a, b = lo, hi
-        for _ in range(100):
-            mid = 0.5 * (a + b)
-            if dphi(mid) > 0.0:
-                b = mid
+
+        pts = [lo]
+        for a2, a1, c, ym in rows:
+            pts += _quadratic_roots_inside(a2, a1, c, lo, hi)
+            if Ht2 > 0.0:
+                pts += _quadratic_roots_inside(a2, a1, c - Ht2 * ym, lo, hi)
+        pts.sort()
+        pts.append(hi)
+        i, j = 0, len(pts) - 1  # dphi(pts[i]) < 0 < dphi(pts[j])
+        while j - i > 1:
+            k = (i + j) // 2
+            if dphi(pts[k]) > 0.0:
+                j = k
             else:
-                a = mid
-        return 0.5 * (a + b)
+                i = k
+        a, b = pts[i], pts[j]
+
+        piece = piece_at(0.5 * (a + b))
+        pa, pb = on_piece(piece, a), on_piece(piece, b)
+        if pa > 0.0:
+            return a
+        if pb <= 0.0:
+            return b
+        slope, icpt, inner = piece
+        if not inner:
+            return min(max(-icpt / slope, a), b)
+        x = a - pa * (b - a) / (pb - pa)
+        for _ in range(100):
+            p = on_piece(piece, x)
+            if p > 0.0:
+                b = x
+            else:
+                a = x
+            dp = slope
+            for a2, a1, c in inner:
+                s = 2.0 * a2 * x + a1
+                dp += (s * s + 2.0 * a2 * ((a2 * x + a1) * x + c)) / Ht2
+            x_new = x - p / dp if dp > 0.0 else 0.5 * (a + b)
+            if not a < x_new < b:
+                x_new = 0.5 * (a + b)
+            if abs(x_new - x) <= 1e-15 * (1.0 + abs(x)) or x_new in (a, b):
+                return x_new
+            x = x_new
+        return x
+
+
+def _quadratic_roots_inside(a2: float, a1: float, a0: float, lo: float, hi: float) -> list[float]:
+    """Real roots of a2*x^2 + a1*x + a0 strictly inside (lo, hi), computed
+    without cancellation."""
+    if a2 == 0.0:
+        roots = (-a0 / a1,) if a1 != 0.0 else ()
+    else:
+        disc = a1 * a1 - 4.0 * a2 * a0
+        if disc < 0.0:
+            return []
+        q = -0.5 * (a1 + math.copysign(math.sqrt(disc), a1))
+        roots = (q / a2, a0 / q) if q != 0.0 else (0.0,)
+    return [r for r in roots if lo < r < hi]
 
 
 # ---------------------------------------------------------------------------

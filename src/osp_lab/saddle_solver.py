@@ -11,9 +11,21 @@ last iterate, merely convex-concave sums the ergodic average.
 
 Every returned solution carries a certified duality gap obtained from two
 one-sided inner optimizations, which are exact for the structured payoff
-families and projected-gradient otherwise.  Three closed forms bypass the
-iterative path entirely: 2x2 matrix games, interior scalar quadratics, and
-already-converged warm starts.
+families and projected-gradient otherwise.
+
+``solve_saddle`` tries its paths in a fixed order and returns from the
+first one that produces a certified pair; only the last iterative path
+returns a best-effort pair, flagged by its spent iteration budget:
+
+1. closed forms: 2x2 matrix games, interior scalar quadratics, and the
+   exact envelope minimizer of a payoff that provides ``envelope_argmin``
+   (the knapsack aggregate);
+2. warm-start acceptance: an already-converged warm start;
+3. iterative paths: the golden-section envelope for 1-D x, then
+   mirror-prox or extragradient.
+
+Solutions from every path but mirror-prox and extragradient report 0
+iterations.
 """
 
 from __future__ import annotations
@@ -379,6 +391,16 @@ def _exact_max_restriction(f, x, Y):
     return None
 
 
+def _closed_form_envelope_path(f, X, Y, cfg) -> SaddleSolution | None:
+    """Envelope path for a sum whose sole part minimizes its own envelope
+    phi(x) = max_y f(x, y) exactly (``envelope_argmin``); None otherwise or
+    when the pair fails to certify."""
+    sole = f._sole_generic_part()
+    if sole is None or not hasattr(sole, "envelope_argmin"):
+        return None
+    return _certified_envelope_pair(f, X, Y, cfg, np.array([sole.envelope_argmin(X, Y)]))
+
+
 def _scalar_envelope_path(f, X, Y, cfg) -> SaddleSolution | None:
     """For 1-D x: minimize the convex envelope phi(x) = max_y f(x, y) by
     golden-section search; each envelope evaluation is an exact closed-form
@@ -390,42 +412,41 @@ def _scalar_envelope_path(f, X, Y, cfg) -> SaddleSolution | None:
     if _exact_max_restriction(f, np.array([lo]), Y) is None:
         return None
 
-    sole = f._sole_generic_part() if isinstance(f, SumPayoff) else None
-    if sole is not None and hasattr(sole, "envelope_argmin"):
-        x_star = np.array([sole.envelope_argmin(X, Y)])
-    else:
-        def phi(xv: float) -> float:
-            ry = _exact_max_restriction(f, np.array([xv]), Y)
-            val, _ = ry.maximize_over(Y)
-            return val
+    def phi(xv: float) -> float:
+        ry = _exact_max_restriction(f, np.array([xv]), Y)
+        val, _ = ry.maximize_over(Y)
+        return val
 
-        invphi = (np.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc, fd = phi(c), phi(d)
-        for _ in range(200):
-            if b - a < 1e-13 * (1.0 + abs(a) + abs(b)):
-                break
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = phi(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = phi(d)
-        x_star = np.array([0.5 * (a + b)])
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = phi(c), phi(d)
+    for _ in range(200):
+        if b - a < 1e-13 * (1.0 + abs(a) + abs(b)):
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = phi(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = phi(d)
+    return _certified_envelope_pair(f, X, Y, cfg, np.array([0.5 * (a + b)]))
+
+
+def _certified_envelope_pair(f, X, Y, cfg, x_star) -> SaddleSolution | None:
+    """Pair the envelope minimizer x_star with the first candidate dual whose
+    certified gap is within tolerance; None when no candidate certifies."""
     ry = _exact_max_restriction(f, x_star, Y)
+    if ry is None:
+        return None
     _, y_hat = ry.maximize_over(Y)
-    best = None
     for y_cand in _stationary_y_candidates(f, X, Y, x_star, y_hat):
         g = _certify(f, X, Y, x_star, y_cand)
-        cand = SaddleSolution(x_star.copy(), y_cand, f.value(x_star, y_cand), g, 0)
-        if best is None or g < best.gap:
-            best = cand
         if g <= cfg.tol_gap:
-            return cand
+            return SaddleSolution(x_star.copy(), y_cand, f.value(x_star, y_cand), g, 0)
     return None
 
 
@@ -504,6 +525,10 @@ def solve_saddle(
     fast = _scalar_interior_fast_path(f, X, Y, cfg)
     if fast is not None:
         return fast
+
+    envelope = _closed_form_envelope_path(f, X, Y, cfg)
+    if envelope is not None:
+        return envelope
 
     if cfg.warm_start is not None:
         g0 = _certify(f, X, Y, x0, y0)

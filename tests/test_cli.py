@@ -10,6 +10,7 @@ from osp_lab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PAIRING,
+    EXIT_SOLVER,
     RunConfig,
     cmd_run,
     main,
@@ -96,6 +97,22 @@ def test_cmd_run_exit_codes(tmp_path):
         f"algorithm.name = pd_rftl\noutput.path = {tmp_path/'p.csv'}\n"
     )
     assert cmd_run(str(pairing)) == EXIT_PAIRING
+
+
+def test_cmd_run_solver_budget_exit_reports_max_gap(tmp_path, capsys):
+    out = tmp_path / "budget.csv"
+    conf = tmp_path / "budget.conf"
+    conf.write_text(
+        "scenario.generator = random_bilinear\nscenario.T = 5\nscenario.seed = 0\n"
+        "algorithm.name = omg_rftl\nalgorithm.max_iters = 1\nalgorithm.tol_gap = 1e-14\n"
+        f"algorithm.hindsight_tol = 1e-3\nseeds.count = 1\noutput.path = {out}\n"
+    )
+    assert cmd_run(str(conf)) == EXIT_SOLVER
+    assert out.exists()
+    err = capsys.readouterr().err
+    assert "solver budget exceeded" in err
+    worst = float(err.split("max recorded gap ")[1].split(")")[0])
+    assert worst > 0.0
 
 
 def test_cmd_run_deterministic_output(tmp_path):

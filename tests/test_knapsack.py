@@ -1,8 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from osp_lab.geometry import Box
+from osp_lab import saddle_solver
+from osp_lab.geometry import Box, IntervalProduct
 from osp_lab.knapsack import (
+    KnapsackAggregate,
     KnapsackEnvironment,
     KnapsackInstance,
     OGDAKnapsack,
@@ -20,7 +26,7 @@ from osp_lab.knapsack import (
 )
 from osp_lab.oracles import grid_knapsack_benchmark
 from osp_lab.payoffs import SeparableQuadratic
-from osp_lab.saddle_solver import SolverConfig
+from osp_lab.saddle_solver import SolverConfig, solve_saddle
 
 
 def test_lagrangian_values():
@@ -273,3 +279,214 @@ def test_rftl_component_regret_bound():
     bound_g = 2 * steps.eta2 * G_g**2 * T + inst.dual_set().diameter() ** 2 / steps.eta2
     assert f_realized - f_acc.minimize_over(inst.X)[0] <= bound_f
     assert g_acc.maximize_over(inst.dual_set())[0] - g_realized <= bound_g
+
+
+# ---------------------------------------------------------------------------
+# Exact envelope root against the retired bisection
+# ---------------------------------------------------------------------------
+
+
+def _bisection_envelope_argmin(agg, X, Y) -> float:
+    """The former KnapsackAggregate.envelope_argmin: endpoint tests, then 100
+    bisection steps on the sign of dphi/dx.  Kept as the reference."""
+    lo, hi = float(X.lower[0]), float(X.upper[0])
+    ymax = Y.upper
+    ra2, ra1 = agg.r_coef[0], agg.r_coef[1]
+    ca2, ca1 = agg.c_coef[:, 0], agg.c_coef[:, 1]
+    tb = agg.t * agg.b_over_T
+    Ht2 = 2.0 * agg.H * agg.t
+
+    def dphi(xv: float) -> float:
+        g = agg.c_coef @ np.array([xv * xv, xv, 1.0]) - tb
+        if Ht2 > 0.0:
+            y = np.clip(g / Ht2, 0.0, ymax)
+        else:
+            y = np.where(g > 0.0, ymax, 0.0)
+        return -(2.0 * ra2 * xv + ra1) + Ht2 * xv + float(y @ (2.0 * ca2 * xv + ca1))
+
+    if dphi(lo) >= 0.0:
+        return lo
+    if dphi(hi) <= 0.0:
+        return hi
+    a, b = lo, hi
+    for _ in range(100):
+        mid = 0.5 * (a + b)
+        if dphi(mid) > 0.0:
+            b = mid
+        else:
+            a = mid
+    return 0.5 * (a + b)
+
+
+def _aggregate(t, H, r, rows, b_over_T):
+    """Aggregate of t rounds whose per-round mean reward is r = (a2, a1) and
+    mean consumptions are rows[i] = (a2, a1, a0)."""
+    agg = KnapsackAggregate(len(rows), np.asarray(b_over_T, dtype=float), H)
+    agg.t = t
+    agg.r_coef = t * np.array([r[0], r[1], 0.0])
+    agg.c_coef = t * np.asarray(rows, dtype=float)
+    return agg
+
+
+def _phi(agg, xv: float, Y) -> Fraction:
+    """phi(x) = max_y of the aggregate over Y in exact rational arithmetic,
+    so that rounding in the evaluation cannot rank two candidates."""
+    x = Fraction(xv)
+    Ht = Fraction(agg.H) * agg.t
+    ra2, ra1, ra0 = (Fraction(v) for v in agg.r_coef.tolist())
+    val = -(ra2 * x * x + ra1 * x + ra0) + Ht * x * x
+    tb = (agg.t * agg.b_over_T).tolist()
+    for (a2, a1, a0), tbi, ym in zip(agg.c_coef.tolist(), tb, Y.upper.tolist()):
+        g = Fraction(a2) * x * x + Fraction(a1) * x + Fraction(a0) - Fraction(tbi)
+        if Ht == 0:
+            y = Fraction(ym) if g > 0 else Fraction(0)
+        else:
+            y = min(max(g / (2 * Ht), Fraction(0)), Fraction(ym))
+        val += y * g - Ht * y * y
+    return val
+
+
+def _check_against_bisection(agg, X, Y) -> float:
+    x_new = agg.envelope_argmin(X, Y)
+    x_ref = _bisection_envelope_argmin(agg, X, Y)
+    assert float(X.lower[0]) <= x_new <= float(X.upper[0])
+    phi_new, phi_ref = float(_phi(agg, x_new, Y)), float(_phi(agg, x_ref, Y))
+    assert phi_new <= phi_ref + 1e-12 * (1.0 + abs(phi_ref))
+    assert abs(x_new - x_ref) <= 1e-9 * (1.0 + abs(x_ref))
+    return x_new
+
+
+# Per-round mean coefficients: concave rewards, convex nonnegative
+# consumptions, nonnegative budgets.  A positive H below 1e-3 would only
+# overflow the reference's g/(2Ht).
+_H = st.just(0.0) | st.floats(1e-3, 2.0)
+_T = st.integers(1, 10_000)
+
+
+@st.composite
+def _consumption(draw, lo, hi, zero_budget=None):
+    """((a2, a1, a0), b_i/T, ymax_i) for one resource on X = [lo, hi]."""
+    coef = (draw(st.floats(0.0, 5.0)), draw(st.floats(0.0, 60.0)), draw(st.floats(0.0, 5.0)))
+    if zero_budget is None:
+        zero_budget = draw(st.integers(0, 3)) == 0
+    if zero_budget:
+        return coef, 0.0, 0.0
+    # the budget binds where consumption reaches it: at xb, or nowhere on X
+    xb = lo + draw(st.floats(0.0, 1.2)) * (hi - lo)
+    return coef, coef[0] * xb * xb + coef[1] * xb + coef[2], draw(st.floats(0.1, 50.0))
+
+
+@settings(max_examples=400)
+@given(
+    m=st.integers(1, 3),
+    H=_H,
+    t=_T,
+    lo=st.floats(0.0, 5.0),
+    width=st.floats(0.1, 20.0),
+    ra2=st.floats(-2.0, 0.0),
+    peak=st.floats(0.0, 1.0),
+    push=st.floats(0.0, 20.0),
+    data=st.data(),
+)
+def test_envelope_argmin_matches_bisection(m, H, t, lo, width, ra2, peak, push, data):
+    # without duals, phi would fall up to lo + peak*width, or all the way
+    # to hi when H = ra2 = 0; the budgets then bind on the way there
+    hi = lo + width
+    ra1 = (2.0 * H - 2.0 * ra2) * (lo + peak * width) + push
+    cons = [data.draw(_consumption(lo, hi)) for _ in range(m)]
+    agg = _aggregate(t, H, (ra2, ra1), [c[0] for c in cons], [c[1] for c in cons])
+    X = Box(np.array([lo]), np.array([hi]))
+    Y = IntervalProduct(np.array([c[2] for c in cons]))
+    _check_against_bisection(agg, X, Y)
+
+
+@given(H=_H, t=_T, ra1=st.floats(-20.0, 40.0), other=_consumption(0.0, 20.0, zero_budget=False))
+def test_envelope_argmin_zero_budget(H, t, ra1, other):
+    # resource 0 has b_0 = 0 and so y_max_0 = 0: its dual is pinned at 0
+    rows, b, ymax = [(1.0, 10.0, 0.0), other[0]], [0.0, other[1]], [0.0, other[2]]
+    agg = _aggregate(t, H, (-1.0, ra1), rows, b)
+    X = Box(np.array([0.0]), np.array([20.0]))
+    Y = IntervalProduct(np.array(ymax))
+    x = _check_against_bisection(agg, X, Y)
+    alone = _aggregate(t, H, (-1.0, ra1), rows[1:], b[1:])
+    assert x == alone.envelope_argmin(X, IntervalProduct(np.array(ymax[1:])))
+
+
+@given(H=_H, t=_T, ra2=st.floats(-2.0, 0.0), push=st.floats(0.1, 50.0), other=_consumption(1.0, 20.0))
+def test_envelope_argmin_at_lower_end(H, t, ra2, push, other):
+    # -R' > 0 at lo and every dual term is nonnegative: phi increases on X
+    lo = 1.0
+    agg = _aggregate(t, H, (ra2, -push), [other[0]], [other[1]])
+    X = Box(np.array([lo]), np.array([20.0]))
+    assert _check_against_bisection(agg, X, IntervalProduct(np.array([other[2]]))) == lo
+
+
+@given(H=_H, t=_T, ra2=st.floats(-2.0, 0.0), push=st.floats(0.1, 50.0), cons=_consumption(0.0, 10.0))
+def test_envelope_argmin_at_upper_end(H, t, ra2, push, cons):
+    # budgets above every consumption on X keep y = 0, and dphi(hi) < 0
+    hi = 10.0
+    (a2, a1, a0), _, ym = cons
+    b = a2 * hi * hi + a1 * hi + a0 + 1.0
+    agg = _aggregate(t, H, (ra2, (2.0 * H - 2.0 * ra2) * hi + push), [(a2, a1, a0)], [b])
+    X = Box(np.array([0.0]), np.array([hi]))
+    assert _check_against_bisection(agg, X, IntervalProduct(np.array([ym]))) == hi
+
+
+@given(
+    t=_T,
+    kink=st.floats(0.5, 19.5),
+    a2=st.floats(0.0, 5.0),
+    a1=st.floats(0.1, 60.0),
+    ym=st.floats(0.1, 50.0),
+    ra2=st.floats(-2.0, 0.0),
+    frac=st.floats(0.05, 0.95),
+    slack=st.floats(1.0, 300.0),
+)
+def test_envelope_argmin_at_kink(t, kink, a2, a1, ym, ra2, frac, slack):
+    # H = 0: the budget binds at `kink`, where dphi jumps from
+    # -R'(kink) < 0 to -R'(kink) + ym*C'(kink) > 0
+    slope = -frac * ym * (2.0 * a2 * kink + a1)  # -R'(kink)
+    ra1 = -slope - 2.0 * ra2 * kink
+    rows = [(a2, a1, 0.0), (0.0, 1.0, 0.0)]
+    b = [a2 * kink * kink + a1 * kink, 20.0 + slack]  # resource 1 never binds
+    agg = _aggregate(t, 0.0, (ra2, ra1), rows, b)
+    X = Box(np.array([0.0]), np.array([20.0]))
+    x = _check_against_bisection(agg, X, IntervalProduct(np.array([ym, 1.0])))
+    assert abs(x - kink) <= 1e-12 * (1.0 + kink)
+
+
+# ---------------------------------------------------------------------------
+# One certificate per SP-FTL knapsack round
+# ---------------------------------------------------------------------------
+
+
+def test_spftl_knapsack_round_certifies_once(monkeypatch):
+    calls = []
+    real = saddle_solver.gap_estimate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(saddle_solver, "gap_estimate", counted)
+    T = 200
+    inst = sec82_instance(T)
+    agent = SPFTLKnapsackAgent(inst)
+    env = KnapsackEnvironment(inst, seed=3)
+    for _ in range(T):
+        out = env.step(agent.current_action[0])
+        before = len(calls)
+        agent.step(out.reward_fn, out.consumption_fns)
+        assert len(calls) - before == 1
+        assert agent.last_gap <= agent.solver.tol_gap
+    assert agent.budget_exceeded_rounds == 0
+
+
+def test_knapsack_solve_rejects_infeasible_warm_start():
+    inst = sec82_instance(50)
+    agg = KnapsackAggregate(inst.m, inst.b / inst.T, H=0.5)
+    agg.add(QuadraticFn(-1.0, 10.0, 0.0), [QuadraticFn(1.0, 50.0, 0.0), QuadraticFn(0.0, 1.0, 0.0)])
+    Y = inst.dual_set()
+    for warm in ((np.array([-1.0]), np.zeros(2)), (np.array([1.0]), Y.upper + 1.0)):
+        with pytest.raises(ValueError):
+            solve_saddle(agg, inst.X, Y, SolverConfig(warm_start=warm))
