@@ -137,43 +137,68 @@ def entropy_tilted_argopt(g: np.ndarray, beta: float, dset: FeasibleSet) -> np.n
     """argmax over the (floored) simplex of g . z - beta * sum z ln z, beta >= 0.
 
     beta = 0 degenerates to linear optimization.  Otherwise the KKT system
-    pins coordinates at the floor theta whenever their exponential-weight
-    share of the free mass falls below it.
+    is the water-filling of the exponential weights exp((g - max g) / beta)
+    (``waterfill``), for every d including d = 2.
     """
     if isinstance(dset, Simplex):
-        d, theta = dset.d, 0.0
+        theta = 0.0
     elif isinstance(dset, RestrictedSimplex):
-        d, theta = dset.d, dset.theta
+        theta = dset.theta
     else:
         raise TypeError("entropy-tilted optimization needs a simplex-family set")
     g = np.asarray(g, dtype=float)
     if beta <= 0.0:
         _, arg = dset.maximize_linear(g)
         return arg
-    b = np.exp((g - g.max()) / beta)
+    return waterfill(np.exp((g - g.max()) / beta), theta)
+
+
+def waterfill(b: np.ndarray, theta: float) -> np.ndarray:
+    """Split unit mass in proportion to the weights b, with floor theta on
+    every coordinate.
+
+    This is the KKT solution of every entropic step over a floored simplex:
+    each free coordinate gets b_i * mass / (sum of free b), where mass is
+    what the pinned coordinates leave, and a coordinate whose share falls
+    below theta is pinned at theta.  Each pass that does not return pins at
+    least one coordinate, so there are at most d passes.  When no floor
+    binds (always for theta = 0), the first pass is the answer: with every
+    coordinate free, mass is exactly 1.0 and the free sum is b.sum(), so the
+    fast path returns the same bits as the full loop.
+
+    Callers pass b = exp(logits - max logits), so max(b) = 1.  All shares of
+    a pass come from one multiplier, so a coordinate of maximal weight is
+    pinned only in a pass that pins every free coordinate; until then the
+    free sum is at least 1 and cannot underflow, whatever the spread of the
+    logits.  For theta <= 1/d that coordinate is never pinned: with F free,
+    its share is mass / (free sum) >= (1 - theta*(d - |F|)) / |F|
+    = theta + (1 - theta*d) / |F| >= theta.  The one fallback below (every
+    free weight zero) is therefore unreachable for normalized weights; it
+    puts the free mass on the first free coordinate.
+    """
+    denom = float(b.sum())
+    if denom > 0.0:
+        share = b * (1.0 / denom)
+        if share.min() >= theta:
+            return share
+    d = b.shape[0]
     free = np.ones(d, dtype=bool)
-    z = np.full(d, theta)
-    for _ in range(d):
-        mass = 1.0 - theta * float(np.sum(~free))
-        denom = float(b[free].sum())
+    mass = 1.0
+    while True:
         if denom <= 0.0:
-            # all free weights underflowed: put mass on the best coordinate
             idx = np.flatnonzero(free)
-            k = idx[int(np.argmax(g[idx]))]
-            share = np.zeros(d)
-            share[k] = mass - theta * (len(idx) - 1)
-            share[idx] = np.maximum(share[idx], theta)
-            z[free] = share[free]
-            return z
-        share = np.where(free, b * (mass / denom), theta)
+            out = np.full(d, theta)
+            out[idx[0]] += mass - theta * len(idx)
+            return out
+        share = b * (mass / denom)
         newly = free & (share < theta)
         if not newly.any():
-            z = np.where(free, share, theta)
-            return z
+            return np.where(free, share, theta)
         free &= ~newly
         if not free.any():
-            return np.full(d, 1.0 / d) if theta == 0 else np.full(d, theta)
-    return np.where(free, share, theta)
+            return np.full(d, theta)
+        mass = 1.0 - theta * float(np.sum(~free))
+        denom = float(b[free].sum())
 
 
 def _pg_minimize(

@@ -3,11 +3,20 @@
 The per-round subproblems of follow-the-leader style algorithms are
 min-max problems over products of compact convex sets.  The default method
 is extragradient with a fixed step 1/(2*L), where L is a deterministic
-power-iteration estimate of the gradient-map Lipschitz constant; sums that
-are bilinear-plus-entropy over simplexes instead run mirror-prox with exact
-KL prox steps (closed-form water-filling handles both the entropy payoff
-term and the coordinate floor).  Strongly convex-concave sums return the
-last iterate, merely convex-concave sums the ergodic average.
+power-iteration estimate of the gradient-map Lipschitz constant.  Sums that
+are bilinear-plus-entropy over simplexes instead run entropic mirror-prox
+(Nemirovski 2004) with step 1/(2*max|S_ij|) and four exact KL prox steps
+per iteration, two from each player's current iterate.  A prox step is the
+water-filling of exponential weights normalized to max 1
+(``payoffs.waterfill``, which also serves the certificates' entropic inner
+maximizations): the entropy payoff term scales the logits, and the
+coordinate floor pins the coordinates whose share would fall below it.
+Because the weights have max 1, the free mass never underflows, and for a
+floor theta <= 1/d the heaviest coordinate is never pinned.  When no floor
+binds, as for the tiny floors of OMG-RFTL, the water-fill is one pass.  At
+d = 2 the prox step keeps its own closed form.  Strongly convex-concave
+sums return the last iterate, merely convex-concave sums the ergodic
+average.
 
 Every returned solution carries a certified duality gap obtained from two
 one-sided inner optimizations, which are exact for the structured payoff
@@ -39,6 +48,7 @@ from .payoffs import (
     GenericOneVar,
     PayoffFunction,
     SumPayoff,
+    waterfill,
 )
 
 
@@ -50,7 +60,6 @@ class NonFiniteGradientError(RuntimeError):
 class SolverConfig:
     tol_gap: float = 1e-8
     max_iters: int = 100_000
-    step_rule: str = "extragradient_fixed"  # or "gda_diminishing"
     warm_start: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
@@ -58,8 +67,6 @@ class SolverConfig:
             raise ValueError("tol_gap must be positive")
         if self.max_iters <= 0:
             raise ValueError("max_iters must be positive")
-        if self.step_rule not in ("extragradient_fixed", "gda_diminishing"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
 
 
 @dataclass
@@ -207,7 +214,6 @@ def _extragradient(f, X, Y, x, y, cfg: SolverConfig) -> SaddleSolution:
     strongly = f.strong_H > 0
     L = _estimate_lipschitz(f, X, Y, x, y)
     gamma = 1.0 / (2.0 * L)
-    diminishing = cfg.step_rule == "gda_diminishing"
     scale = X.diameter() + Y.diameter() + 1.0
     sum_x = np.zeros_like(x)
     sum_y = np.zeros_like(y)
@@ -217,19 +223,15 @@ def _extragradient(f, X, Y, x, y, cfg: SolverConfig) -> SaddleSolution:
     it = 0
     while it < cfg.max_iters:
         it += 1
-        step = gamma / it if diminishing else gamma
         gx, gy = _operator(f, x, y)
-        xh = X.project(x - step * gx)
-        yh = Y.project(y + step * gy)
-        if diminishing:
-            xn, yn = xh, yh
-        else:
-            gxh, gyh = _operator(f, xh, yh)
-            xn = X.project(x - step * gxh)
-            yn = Y.project(y + step * gyh)
+        xh = X.project(x - gamma * gx)
+        yh = Y.project(y + gamma * gy)
+        gxh, gyh = _operator(f, xh, yh)
+        xn = X.project(x - gamma * gxh)
+        yn = Y.project(y + gamma * gyh)
         residual = (
             float(np.linalg.norm(x - xh)) + float(np.linalg.norm(y - yh))
-        ) / step
+        ) / gamma
         sum_x += xh
         sum_y += yh
         navg += 1
@@ -253,47 +255,31 @@ def _extragradient(f, X, Y, x, y, cfg: SolverConfig) -> SaddleSolution:
     return best
 
 
-def _kl_prox(p, step_lin, step_ent, dset):
-    """argmin over the (floored) simplex of step_lin . z + step_ent * sum z ln z
-    + KL(z || p); closed form via water-filling over exponential weights."""
-    theta = dset.theta if isinstance(dset, RestrictedSimplex) else 0.0
-    a = 1.0 / (1.0 + step_ent)
-    logits = a * (np.log(np.maximum(p, 1e-300)) - step_lin)
+def _kl_prox(log_p, step_lin, a, theta):
+    """argmin over the floored simplex of step_lin . z + step_ent * sum z ln z
+    + KL(z || p), given log_p = log(max(p, 1e-300)) and a = 1/(1 + step_ent).
+
+    The minimizer is the water-filling of the weights exp(a * (log_p -
+    step_lin)), normalized to max 1; d = 2 has its own closed form.
+    """
+    logits = a * (log_p - step_lin)
     b = np.exp(logits - logits.max())
-    return _waterfill(b, theta)
+    if b.shape[0] != 2:
+        return waterfill(b, theta)
+    b0, b1 = float(b[0]), float(b[1])
+    tot = b0 + b1
+    if tot <= 0.0:
+        return np.array([0.5, 0.5])
+    s0 = b0 / tot
+    if s0 < theta:
+        return np.array([theta, 1.0 - theta])
+    if 1.0 - s0 < theta:
+        return np.array([1.0 - theta, theta])
+    return np.array([s0, 1.0 - s0])
 
 
-def _waterfill(b: np.ndarray, theta: float) -> np.ndarray:
-    """Allocate unit mass proportionally to b with per-coordinate floor theta."""
-    d = b.shape[0]
-    if d == 2:
-        b0, b1 = float(b[0]), float(b[1])
-        tot = b0 + b1
-        if tot <= 0.0:
-            return np.array([0.5, 0.5])
-        s0 = b0 / tot
-        if s0 < theta:
-            return np.array([theta, 1.0 - theta])
-        if 1.0 - s0 < theta:
-            return np.array([1.0 - theta, theta])
-        return np.array([s0, 1.0 - s0])
-    free = np.ones(d, dtype=bool)
-    for _ in range(d):
-        mass = 1.0 - theta * float(np.sum(~free))
-        denom = float(b[free].sum())
-        if denom <= 0.0:
-            idx = np.flatnonzero(free)
-            out = np.full(d, theta)
-            out[idx[0]] += mass - theta * len(idx)
-            return out
-        share = b * (mass / denom)
-        newly = free & (share < theta)
-        if not newly.any():
-            return np.where(free, share, theta)
-        free &= ~newly
-        if not free.any():
-            return np.full(d, 1.0 / d if theta == 0.0 else theta)
-    return np.where(free, share, theta)
+def _simplex_floor(dset) -> float:
+    return dset.theta if isinstance(dset, RestrictedSimplex) else 0.0
 
 
 def _mirror_prox_entropic(f: SumPayoff, X, Y, x, y, cfg: SolverConfig) -> SaddleSolution:
@@ -303,6 +289,10 @@ def _mirror_prox_entropic(f: SumPayoff, X, Y, x, y, cfg: SolverConfig) -> Saddle
     strongly = bx > 0 or by > 0  # entropy terms make the sum strongly convex-concave
     L = max(float(np.abs(S).max()), 1e-12)
     gamma = 1.0 / (2.0 * L)
+    ax = 1.0 / (1.0 + gamma * bx)
+    ay = 1.0 / (1.0 + gamma * by)
+    theta_x = _simplex_floor(X)
+    theta_y = _simplex_floor(Y)
     sum_x = np.zeros_like(x)
     sum_y = np.zeros_like(y)
     navg = 0
@@ -312,14 +302,17 @@ def _mirror_prox_entropic(f: SumPayoff, X, Y, x, y, cfg: SolverConfig) -> Saddle
     scale = 2.0 + 1.0
     while it < cfg.max_iters:
         it += 1
+        # both prox steps of an iteration start from (x, y): one log each
+        log_x = np.log(np.maximum(x, 1e-300))
+        log_y = np.log(np.maximum(y, 1e-300))
         gx = S @ y
         gy = S.T @ x
-        xh = _kl_prox(x, gamma * gx, gamma * bx, X)
-        yh = _kl_prox(y, -gamma * gy, gamma * by, Y)
+        xh = _kl_prox(log_x, gamma * gx, ax, theta_x)
+        yh = _kl_prox(log_y, -gamma * gy, ay, theta_y)
         gxh = S @ yh
         gyh = S.T @ xh
-        xn = _kl_prox(x, gamma * gxh, gamma * bx, X)
-        yn = _kl_prox(y, -gamma * gyh, gamma * by, Y)
+        xn = _kl_prox(log_x, gamma * gxh, ax, theta_x)
+        yn = _kl_prox(log_y, -gamma * gyh, ay, theta_y)
         residual = (
             float(np.abs(x - xh).sum()) + float(np.abs(y - yh).sum())
         ) / gamma
@@ -543,7 +536,6 @@ def solve_saddle(
         f.is_entropic_bilinear()
         and isinstance(X, (Simplex, RestrictedSimplex))
         and isinstance(Y, (Simplex, RestrictedSimplex))
-        and cfg.step_rule == "extragradient_fixed"
     ):
         x0 = np.maximum(x0, 1e-300)
         x0 = x0 / x0.sum()
