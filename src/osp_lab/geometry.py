@@ -1,8 +1,10 @@
 """Convex compact feasible sets: membership, Euclidean projection, diameter.
 
-Four set kinds cover every domain used in the library: boxes, probability
-simplexes, simplexes with a per-coordinate floor (all entries >= theta), and
-axis-aligned products of intervals [0, u_i].  Projection onto the floored
+Three set kinds cover every domain used in the library: boxes (also the
+dual domain prod_i [0, y_max_i] of the knapsack Lagrangian), probability
+simplexes, and simplexes with a per-coordinate floor (all entries >= theta).
+Each optimizes a linear function in closed form, which the exact duality-gap
+certificates of the saddle solver build on.  Projection onto the floored
 simplex reuses the sorted-threshold simplex projection through the affine
 bijection w -> theta*1 + (1 - d*theta)*w; Euclidean projection commutes with
 that similarity, so one routine serves both sets.
@@ -195,40 +197,6 @@ class RestrictedSimplex(FeasibleSet):
         i = int(np.argmin(g))
         arg = np.full(self.d, self.theta)
         arg[i] += self.scale
-        return float(g @ arg), arg
-
-
-@dataclass(frozen=True)
-class IntervalProduct(FeasibleSet):
-    """Product of intervals [0, upper_i]; identical to Box(0, upper).
-
-    Kept as its own kind because the dual domain of the knapsack Lagrangian
-    is exactly such a product.
-    """
-
-    upper: np.ndarray
-
-    def __post_init__(self):
-        up = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if np.any(up < 0):
-            raise ValueError("IntervalProduct requires nonnegative upper bounds")
-        object.__setattr__(self, "upper", up)
-        object.__setattr__(self, "dimension", up.shape[0])
-
-    def contains(self, z, tol=DEFAULT_MEMBERSHIP_TOL):
-        z = self._check_dim(z)
-        return bool(np.all(z >= -tol) and np.all(z <= self.upper + tol))
-
-    def project(self, z):
-        z = self._check_dim(z)
-        return np.clip(z, 0.0, self.upper)
-
-    def diameter(self):
-        return float(np.linalg.norm(self.upper))
-
-    def minimize_linear(self, g):
-        g = np.asarray(g, dtype=float)
-        arg = np.where(g >= 0, 0.0, self.upper)
         return float(g @ arg), arg
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import Box, FeasibleSet, IntervalProduct
+from .geometry import Box, FeasibleSet
 from .payoffs import PayoffFunction, SeparableQuadratic
 from .saddle_solver import SolverConfig, solve_saddle
 
@@ -140,8 +140,8 @@ class KnapsackInstance:
     def m(self) -> int:
         return self.b.shape[0]
 
-    def dual_set(self) -> IntervalProduct:
-        return IntervalProduct(self.y_max)
+    def dual_set(self) -> Box:
+        return Box(np.zeros(self.m), self.y_max)
 
     def lagrangian(self, r: QuadraticFn, c: list[QuadraticFn]) -> "KnapsackLagrangian":
         return KnapsackLagrangian(r, c, self.b / self.T)
@@ -178,7 +178,6 @@ class KnapsackLagrangian(PayoffFunction):
         if len(self.c) != self.b_over_T.shape[0]:
             raise ValueError("consumption dimension must match budget dimension")
         self.strong_H = 0.0
-        self.linear_in_y = True
         self.norm_tag = "l2"
 
     def _cons(self, xv: float) -> np.ndarray:
@@ -371,7 +370,10 @@ class KnapsackAggregate(PayoffFunction):
         if pa > 0.0:
             return a
         if pb <= 0.0:
-            return b
+            # dphi jumps up at the kink b, whose rounded root may lie just past
+            # the exact one, where phi already climbs at the post-kink slope
+            below = math.nextafter(b, a)
+            return below if dphi(below) <= 0.0 else b
         slope, icpt, inner = piece
         if not inner:
             return min(max(-icpt / slope, a), b)
@@ -453,10 +455,11 @@ class KnapsackEnvironment:
         within = bool(np.all(st.cumulative_consumption <= self.instance.b + 1e-12))
         if not within:
             st.violated = True
-        collected = r(xv) if not st.violated else 0.0
+        reward = r(xv)
+        collected = reward if not st.violated else 0.0
         st.cumulative_reward += collected
         st.round += 1
-        return StepOutcome(r, c, r(xv), collected, cons)
+        return StepOutcome(r, c, reward, collected, cons)
 
 
 # ---------------------------------------------------------------------------
@@ -563,30 +566,6 @@ class SPFTLKnapsackAgent:
             self.budget_exceeded_rounds += 1
         self.last_gap = sol.gap
         self.current_action = (sol.x_star, sol.y_star)
-        self.round += 1
-        return self.current_action
-
-
-class OGDAKnapsack:
-    """Gradient descent/ascent on the revealed Lagrangian at the played pair."""
-
-    algorithm_id = "ogda_knapsack"
-
-    def __init__(self, X: FeasibleSet, Y: FeasibleSet, eta1: float, eta2: float):
-        self.X = X
-        self.Y = Y
-        self.eta1 = eta1
-        self.eta2 = eta2
-        self.current_action = (X.origin_projection(), Y.origin_projection())
-        self.round = 0
-        self.budget_exceeded_rounds = 0
-        self.last_gap = 0.0
-
-    def step(self, revealed: PayoffFunction) -> tuple[np.ndarray, np.ndarray]:
-        x, y = self.current_action
-        x_next = self.X.project(x - self.eta1 * revealed.grad_x(x, y))
-        y_next = self.Y.project(y + self.eta2 * revealed.grad_y(x, y))
-        self.current_action = (x_next, y_next)
         self.round += 1
         return self.current_action
 

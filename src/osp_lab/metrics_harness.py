@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box, FeasibleSet, IntervalProduct, Simplex
+from .geometry import Box, FeasibleSet, Simplex
 from .knapsack import (
     KnapsackAggregate,
     KnapsackEnvironment,
     KnapsackInstance,
-    OGDAKnapsack,
     PDRFTL,
     PDRFTLConfig,
     SPFTLKnapsackAgent,
@@ -49,9 +48,6 @@ from .osp_algorithms import (
 )
 from .payoffs import (
     BilinearPayoff,
-    GenericOneVar,
-    LinearPlusEntropy,
-    PayoffFunction,
     SeparableQuadratic,
     SquaredNormRegularizer,
     SumPayoff,
@@ -106,66 +102,28 @@ class RegretReport:
 
 
 class RestrictionAccumulator:
-    """Sum of one-variable restrictions across rounds; typed closed forms
-    merge in O(1), anything else degrades to a closure list."""
+    """Sum across rounds of one-variable restrictions, all of them separable
+    quadratics (the scenario payoffs are scalar quadratics, bilinear games
+    and knapsack Lagrangians), held in O(1) state."""
 
     def __init__(self):
-        self._typed = None
-        self._generic: list = []
+        self._sum: SeparableQuadratic | None = None
 
-    def add(self, restriction) -> None:
-        if restriction is None:
-            raise ValueError("restriction unavailable")
-        if isinstance(restriction, SeparableQuadratic) and not self._generic:
-            if self._typed is None:
-                self._typed = SeparableQuadratic(
-                    restriction.quad.copy(), restriction.lin.copy(), restriction.const
-                )
-                return
-            if isinstance(self._typed, SeparableQuadratic):
-                self._typed.quad += restriction.quad
-                self._typed.lin += restriction.lin
-                self._typed.const += restriction.const
-                return
-        if isinstance(restriction, LinearPlusEntropy) and not self._generic:
-            if self._typed is None:
-                self._typed = LinearPlusEntropy(
-                    restriction.lin.copy(), restriction.ent_weight, restriction.const
-                )
-                return
-            if isinstance(self._typed, LinearPlusEntropy):
-                self._typed.lin += restriction.lin
-                self._typed.ent_weight += restriction.ent_weight
-                self._typed.const += restriction.const
-                return
-        self._demote()
-        self._generic.append(restriction)
-
-    def _demote(self) -> None:
-        if self._typed is not None:
-            self._generic.append(self._typed)
-            self._typed = None
-
-    def _as_onevar(self):
-        if not self._generic:
-            return self._typed
-        parts = list(self._generic)
-        if self._typed is not None:
-            parts.append(self._typed)
-
-        def val(z):
-            return sum(p.value(z) for p in parts)
-
-        def grad(z):
-            return sum(np.asarray(p.grad(z)) for p in parts)
-
-        return GenericOneVar(val, grad)
+    def add(self, restriction: SeparableQuadratic) -> None:
+        if self._sum is None:
+            self._sum = SeparableQuadratic(
+                restriction.quad.copy(), restriction.lin.copy(), restriction.const
+            )
+        else:
+            self._sum.quad += restriction.quad
+            self._sum.lin += restriction.lin
+            self._sum.const += restriction.const
 
     def minimize(self, dset: FeasibleSet) -> float:
-        return float(self._as_onevar().minimize_over(dset)[0])
+        return float(self._sum.minimize_over(dset)[0])
 
     def maximize(self, dset: FeasibleSet) -> float:
-        return float(self._as_onevar().maximize_over(dset)[0])
+        return float(self._sum.maximize_over(dset)[0])
 
 
 def compute_sp_regret(
@@ -193,22 +151,12 @@ def compute_individual_regrets(
     acc_x = RestrictionAccumulator()
     acc_y = RestrictionAccumulator()
     for t, payoff in enumerate(history):
-        acc_x.add(_restrict_or_closure(payoff, "x", trace.ys[t]))
-        acc_y.add(_restrict_or_closure(payoff, "y", trace.xs[t]))
+        acc_x.add(payoff.restrict_x(trace.ys[t]))
+        acc_y.add(payoff.restrict_y(trace.xs[t]))
     realized = float(trace.payoff_values.sum())
     ind_x = realized - acc_x.minimize(X)
     ind_y = acc_y.maximize(Y) - realized
     return ind_x, ind_y
-
-
-def _restrict_or_closure(payoff: PayoffFunction, axis: str, other: np.ndarray):
-    r = payoff.restrict_x(other) if axis == "x" else payoff.restrict_y(other)
-    if r is not None:
-        return r
-    o = np.array(other, dtype=float)
-    if axis == "x":
-        return GenericOneVar(lambda x: payoff.value(x, o), lambda x: payoff.grad_x(x, o))
-    return GenericOneVar(lambda y: payoff.value(o, y), lambda y: payoff.grad_y(o, y))
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +405,6 @@ class AlgorithmSpec:
 def _radius_bound(dset: FeasibleSet) -> float:
     if isinstance(dset, Box):
         return float(np.linalg.norm(np.maximum(np.abs(dset.lower), np.abs(dset.upper))))
-    if isinstance(dset, IntervalProduct):
-        return float(np.linalg.norm(dset.upper))
     return 1.0  # simplex family
 
 
@@ -602,11 +548,14 @@ def _build_algorithm(scenario: Scenario, name: str, resolved: dict, run_seed: in
             PDRFTLConfig(float(resolved["eta1"][0]), float(resolved["eta2"][0])),
         )
     if name == "ogda_knapsack":
-        return OGDAKnapsack(
+        return OGDA(
             inst.X,
             inst.dual_set(),
-            float(resolved["eta1"][0]),
-            float(resolved["eta2"][0]),
+            OGDAConfig(
+                schedule="constant",
+                constant=float(resolved["eta1"][0]),
+                constant_y=float(resolved["eta2"][0]),
+            ),
         )
     if name == "spftl_knapsack":
         return SPFTLKnapsackAgent(inst, H=float(resolved["H"][0]), solver=solver)
@@ -662,8 +611,8 @@ def _run_osp_like(scenario: Scenario, name: str, resolved: dict, seed: int, emit
         ys.append(y)
         vals.append(v)
         msum.add(payoff)
-        acc_x.add(_restrict_or_closure(payoff, "x", y))
-        acc_y.add(_restrict_or_closure(payoff, "y", x))
+        acc_x.add(payoff.restrict_x(y))
+        acc_y.add(payoff.restrict_y(x))
         algo.step(payoff)
         gaps.append(getattr(algo, "last_gap", 0.0))
         if series is not None:

@@ -215,26 +215,13 @@ def grid_knapsack_benchmark(
     return best, x_star
 
 
-def exhaustive_entropy_grad_bound(d: int, theta: float, n: int, seed: int = 7) -> float:
-    """Largest sampled sup-norm of the entropy gradient over the floored simplex."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    worst = 0.0
-    for _ in range(n):
-        w = rng.dirichlet(np.ones(d))
-        z = theta + (1.0 - d * theta) * w
-        worst = max(worst, float(np.abs(1.0 + np.log(z)).max()))
-    return worst
-
-
 def random_feasible_point(dset, rng: np.random.Generator) -> np.ndarray:
     """Uniform-ish sample used by property checks; exactness is irrelevant,
     feasibility is."""
-    from .geometry import Box, IntervalProduct, RestrictedSimplex, Simplex
+    from .geometry import Box, RestrictedSimplex, Simplex
 
     if isinstance(dset, Box):
         return rng.uniform(dset.lower, dset.upper)
-    if isinstance(dset, IntervalProduct):
-        return rng.uniform(np.zeros(dset.dimension), dset.upper)
     if isinstance(dset, RestrictedSimplex):
         w = rng.dirichlet(np.ones(dset.d))
         return dset.embed(w)

@@ -117,16 +117,21 @@ class SPRFTL(SPFTL):
 class OGDAConfig:
     schedule: str = "diminishing"  # or "constant"
     constant: float = 1.0  # c in eta_t = c/t, or the constant step itself
+    # the y block's own c; None shares the x block's.  The knapsack agent
+    # takes eta1 != eta2 from theorem8_steps.
+    constant_y: float | None = None
 
     def __post_init__(self):
         if self.schedule not in ("diminishing", "constant"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.constant <= 0:
+        if self.constant <= 0 or (self.constant_y is not None and self.constant_y <= 0):
             raise ValueError("step constant must be positive")
 
 
 class OGDA:
-    """Projected online gradient descent (x) + ascent (y) at the realized pair."""
+    """Projected online gradient descent (x) + ascent (y) at the realized pair,
+    with a step size per block; also the knapsack baseline ``ogda_knapsack``
+    on the Lagrangian over X x [0, y_max]."""
 
     algorithm_id = "ogda"
 
@@ -142,17 +147,19 @@ class OGDA:
         self.last_gap = 0.0
         self.budget_exceeded_rounds = 0
 
-    def step_size(self, t: int) -> float:
+    def step_sizes(self, t: int) -> tuple[float, float]:
+        cx = self.config.constant
+        cy = cx if self.config.constant_y is None else self.config.constant_y
         if self.config.schedule == "constant":
-            return self.config.constant
-        return self.config.constant / t
+            return cx, cy
+        return cx / t, cy / t
 
     def step(self, observed: PayoffFunction) -> tuple[np.ndarray, np.ndarray]:
         x, y = self.current_action
         t = self.round + 1
-        eta = self.step_size(t)
-        x_next = self.X.project(x - eta * observed.grad_x(x, y))
-        y_next = self.Y.project(y + eta * observed.grad_y(x, y))
+        eta_x, eta_y = self.step_sizes(t)
+        x_next = self.X.project(x - eta_x * observed.grad_x(x, y))
+        y_next = self.Y.project(y + eta_y * observed.grad_y(x, y))
         self.current_action = (x_next, y_next)
         self.round += 1
         return self.current_action

@@ -2,14 +2,18 @@
 
 A payoff knows its Lipschitz constant (w.r.t. a declared norm), its joint
 strong convexity-concavity modulus, and how to restrict itself to one
-argument.  Restrictions return small closed-form objects (separable
-quadratics, linear-plus-entropy forms) that the solver exploits for exact
-inner optimizations when certifying duality gaps and computing best
-responses; anything unstructured falls back to projected gradient.
+argument.  The library has three payoff families: scalar convex-concave
+quadratics, bilinear games (optionally with entropy or squared-norm
+regularizers), and the knapsack Lagrangians of ``knapsack``.  Each restricts
+in closed form to a separable quadratic or a linear-plus-entropy form, whose
+exact optimization over a feasible set gives every duality-gap certificate
+and best response.  A payoff without such a restriction is refused with a
+``TypeError``; nothing falls back to an iterative inner solve.
 
-Running sums of payoffs are held in `SumPayoff`, which folds the structured
-families into O(1)-size accumulators so follow-the-leader style algorithms
-stay cheap over long horizons.
+Running sums of payoffs are held in `SumPayoff`, which folds the scalar
+quadratic and bilinear families, with their regularizers, into O(1)-size
+accumulators so follow-the-leader style algorithms stay cheap over long
+horizons.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box, FeasibleSet, IntervalProduct, RestrictedSimplex, Simplex
+from .geometry import Box, FeasibleSet, RestrictedSimplex, Simplex
 
 
 def negentropy(z: np.ndarray) -> float:
@@ -54,10 +58,10 @@ class SeparableQuadratic:
             return val + self.const, arg
         if np.any(self.quad < 0.0):
             raise ValueError("minimize requires a convex (quad >= 0) restriction")
-        if isinstance(dset, (Box, IntervalProduct)):
-            lo = dset.lower if isinstance(dset, Box) else np.zeros(dset.dimension)
-            hi = dset.upper
-            with np.errstate(divide="ignore", invalid="ignore"):
+        if isinstance(dset, Box):
+            lo, hi = dset.lower, dset.upper
+            # a subnormal quad puts the vertex at +-inf, which the clip handles
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 vertex = np.where(self.quad > 0, -self.lin / (2.0 * self.quad), 0.0)
             arg = np.clip(vertex, lo, hi)
             zero = self.quad == 0.0
@@ -71,7 +75,7 @@ class SeparableQuadratic:
             if c > 0:
                 arg = dset.project(-self.lin / (2.0 * c))
                 return self.value(arg), arg
-        return _pg_minimize(self.value, self.grad, dset)
+        raise TypeError("no closed-form minimizer of a non-isotropic quadratic on a simplex")
 
     def maximize_over(self, dset: FeasibleSet) -> tuple[float, np.ndarray]:
         neg = SeparableQuadratic(-self.quad, -self.lin, -self.const)
@@ -108,29 +112,6 @@ class LinearPlusEntropy:
             raise ValueError("maximize requires ent_weight <= 0")
         arg = entropy_tilted_argopt(self.lin, -self.ent_weight, dset)
         return self.value(arg), arg
-
-
-@dataclass
-class GenericOneVar:
-    """Closure-backed restriction; optimized by projected gradient."""
-
-    value_fn: object
-    grad_fn: object
-
-    def value(self, z):
-        return float(self.value_fn(z))
-
-    def grad(self, z):
-        return np.asarray(self.grad_fn(z), dtype=float)
-
-    def minimize_over(self, dset: FeasibleSet) -> tuple[float, np.ndarray]:
-        return _pg_minimize(self.value, self.grad, dset)
-
-    def maximize_over(self, dset: FeasibleSet) -> tuple[float, np.ndarray]:
-        val, arg = _pg_minimize(
-            lambda z: -self.value(z), lambda z: -self.grad(z), dset
-        )
-        return -val, arg
 
 
 def entropy_tilted_argopt(g: np.ndarray, beta: float, dset: FeasibleSet) -> np.ndarray:
@@ -201,53 +182,24 @@ def waterfill(b: np.ndarray, theta: float) -> np.ndarray:
         denom = float(b[free].sum())
 
 
-def _pg_minimize(
-    value_fn,
-    grad_fn,
-    dset: FeasibleSet,
-    z0: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iters: int = 5000,
-) -> tuple[float, np.ndarray]:
-    """Projected gradient with Barzilai-Borwein steps; deterministic."""
-    z = dset.origin_projection() if z0 is None else np.asarray(z0, dtype=float)
-    g = grad_fn(z)
-    step = 1.0 / (1.0 + float(np.linalg.norm(g)))
-    best_z, best_v = z, value_fn(z)
-    for _ in range(max_iters):
-        z_new = dset.project(z - step * g)
-        if float(np.linalg.norm(z_new - z)) <= tol * (1.0 + float(np.linalg.norm(z))):
-            z = z_new
-            break
-        g_new = grad_fn(z_new)
-        dz = z_new - z
-        dg = g_new - g
-        denom = float(dz @ dg)
-        step = float(dz @ dz) / denom if denom > 1e-18 else step * 1.5
-        step = min(max(step, 1e-12), 1e6)
-        z, g = z_new, g_new
-        v = value_fn(z)
-        if v < best_v:
-            best_v, best_z = v, z
-    v = value_fn(z)
-    if v < best_v:
-        best_v, best_z = v, z
-    return best_v, best_z
-
-
 # ---------------------------------------------------------------------------
 # Payoff functions
 # ---------------------------------------------------------------------------
 
 
 class PayoffFunction:
-    """Convex in x (for each y), concave in y (for each x)."""
+    """Convex in x (for each y), concave in y (for each x).
+
+    The structure hints (``matrix``, ``scalar_coefficients`` and the two
+    ``is_*`` tests) are those of `SumPayoff`; every other payoff reports
+    none of them, so the solver reads them without asking for the type.
+    """
 
     lipschitz_G: float = 0.0
     strong_H: float = 0.0
     norm_tag: str = "l2"
-    linear_in_x: bool = False
-    linear_in_y: bool = False
+    matrix: np.ndarray | None = None
+    scalar_coefficients: np.ndarray | None = None
 
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
         raise NotImplementedError
@@ -259,11 +211,17 @@ class PayoffFunction:
         raise NotImplementedError
 
     def restrict_x(self, y: np.ndarray):
-        """Closed-form view of x -> value(x, y), or None if unstructured."""
+        """Closed-form view of x -> value(x, y), or None if there is none."""
         return None
 
     def restrict_y(self, x: np.ndarray):
         return None
+
+    def is_pure_bilinear(self) -> bool:
+        return False
+
+    def is_entropic_bilinear(self) -> bool:
+        return False
 
 
 @dataclass
@@ -287,8 +245,6 @@ class ScalarQuadraticBilinear(PayoffFunction):
         if self.cx2 < 0 or self.cy2 > 0:
             raise ValueError("requires cx2 >= 0 (convex in x) and cy2 <= 0 (concave in y)")
         self.strong_H = float(min(2.0 * self.cx2, -2.0 * self.cy2))
-        self.linear_in_x = self.cx2 == 0.0
-        self.linear_in_y = self.cy2 == 0.0
 
     def value(self, x, y):
         xv, yv = float(x[0]), float(y[0])
@@ -398,8 +354,6 @@ class BilinearPayoff(PayoffFunction):
             raise ValueError(f"matrix entries must lie in [-{self.entry_bound}, {self.entry_bound}]")
         self.A = A
         self.strong_H = 0.0
-        self.linear_in_x = True
-        self.linear_in_y = True
         self.lipschitz_G = bilinear_lipschitz(A, self.norm_tag)
 
     def value(self, x, y):
@@ -439,39 +393,6 @@ def bilinear_lipschitz(A: np.ndarray, norm_tag: str = "l1") -> float:
 
 def make_bilinear(A: np.ndarray, norm_tag: str = "l1") -> BilinearPayoff:
     return BilinearPayoff(np.asarray(A, dtype=float), norm_tag=norm_tag)
-
-
-@dataclass
-class GenericPayoff(PayoffFunction):
-    """Payoff from raw callables; restrictions fall back to projected gradient."""
-
-    value_fn: object
-    grad_x_fn: object
-    grad_y_fn: object
-    lipschitz_G: float = 0.0
-    strong_H: float = 0.0
-    norm_tag: str = "l2"
-
-    def value(self, x, y):
-        return float(self.value_fn(x, y))
-
-    def grad_x(self, x, y):
-        return np.asarray(self.grad_x_fn(x, y), dtype=float)
-
-    def grad_y(self, x, y):
-        return np.asarray(self.grad_y_fn(x, y), dtype=float)
-
-    def restrict_x(self, y):
-        y = np.array(y, dtype=float)
-        return GenericOneVar(
-            lambda x: self.value(x, y), lambda x: self.grad_x(x, y)
-        )
-
-    def restrict_y(self, x):
-        x = np.array(x, dtype=float)
-        return GenericOneVar(
-            lambda y: self.value(x, y), lambda y: self.grad_y(x, y)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -609,9 +530,11 @@ class _RegBucket:
 
 
 class SumPayoff(PayoffFunction):
-    """Incremental sum of observed payoffs with O(1) state for the
-    scalar-quadratic and bilinear families; unstructured payoffs fall back
-    to a list (O(t) evaluation, fine for short tests only)."""
+    """Incremental sum of scalar quadratic and bilinear payoffs and their
+    squared-norm or entropy regularizers, held in O(1) state: one coefficient
+    row, one matrix, and one weight per regularizer.  Every sum that `add`
+    accepts restricts in closed form to a separable quadratic or a
+    linear-plus-entropy form."""
 
     def __init__(self):
         self.count = 0
@@ -620,16 +543,21 @@ class SumPayoff(PayoffFunction):
         self.norm_tag = "l2"
         self._scalar: np.ndarray | None = None  # [cxy cx2 cx1 cy2 cy1 c0]
         self._matrix: np.ndarray | None = None
-        self._generic: list[PayoffFunction] = []
         self._regs_x: dict = {}
         self._regs_y: dict = {}
 
     def add(self, payoff: PayoffFunction) -> None:
+        """Fold one payoff into the sum.
+
+        Raises TypeError, and leaves the sum unusable, on a payoff outside the
+        folded families or one that would cost the sum its closed-form
+        restrictions (see ``_require_closed_form``).
+        """
+        self._add_part(payoff)
         self.count += 1
         self.strong_H += payoff.strong_H
         self.lipschitz_G += payoff.lipschitz_G
         self.norm_tag = payoff.norm_tag
-        self._add_part(payoff)
 
     def _add_part(self, payoff: PayoffFunction) -> None:
         if isinstance(payoff, RegularizedPayoff):
@@ -640,21 +568,42 @@ class SumPayoff(PayoffFunction):
             row = np.array(
                 [payoff.cxy, payoff.cx2, payoff.cx1, payoff.cy2, payoff.cy1, payoff.c0]
             )
-            self._scalar = row if self._scalar is None else self._scalar + row
+            if self._scalar is None:
+                self._scalar = row
+                self._require_closed_form()
+            else:
+                self._scalar = self._scalar + row
         elif isinstance(payoff, BilinearPayoff):
             if self._matrix is None:
                 self._matrix = payoff.A.copy()
             else:
                 self._matrix += payoff.A
         else:
-            self._generic.append(payoff)
+            raise TypeError(
+                f"SumPayoff folds only scalar quadratic and bilinear payoffs, "
+                f"not {type(payoff).__name__}"
+            )
 
-    @staticmethod
-    def _bump_reg(bucket: dict, reg: Regularizer, weight: float) -> None:
+    def _bump_reg(self, bucket: dict, reg: Regularizer, weight: float) -> None:
         key = reg.merge_key()
         if key not in bucket:
             bucket[key] = _RegBucket(reg)
+            self._require_closed_form()
         bucket[key].weight += weight
+
+    def _require_closed_form(self) -> None:
+        """Both restrictions have closed forms while every regularizer is a
+        squared norm or an entropy, and an axis with an entropy carries no
+        other curvature: no second regularizer and no scalar quadratic."""
+        for bucket in (self._regs_x, self._regs_y):
+            tags = [b.reg.tag for b in bucket.values()]
+            if any(tag not in ("sqnorm", "entropy") for tag in tags) or (
+                "entropy" in tags and (len(tags) > 1 or self._scalar is not None)
+            ):
+                raise TypeError(
+                    f"no closed-form restriction for regularizers {tags}"
+                    + (" on a scalar quadratic" if self._scalar is not None else "")
+                )
 
     # -- evaluation ---------------------------------------------------------
 
@@ -666,8 +615,6 @@ class SumPayoff(PayoffFunction):
             total += cxy * xv * yv + cx2 * xv * xv + cx1 * xv + cy2 * yv * yv + cy1 * yv + c0
         if self._matrix is not None:
             total += float(x @ self._matrix @ y)
-        for p in self._generic:
-            total += p.value(x, y)
         for b in self._regs_x.values():
             total += b.weight * b.reg.value(x)
         for b in self._regs_y.values():
@@ -681,8 +628,6 @@ class SumPayoff(PayoffFunction):
             g = g + np.array([cxy * float(y[0]) + 2.0 * cx2 * float(x[0]) + cx1])
         if self._matrix is not None:
             g = g + self._matrix @ y
-        for p in self._generic:
-            g = g + p.grad_x(x, y)
         for b in self._regs_x.values():
             g = g + b.weight * b.reg.grad(x)
         return g
@@ -694,8 +639,6 @@ class SumPayoff(PayoffFunction):
             g = g + np.array([cxy * float(x[0]) + 2.0 * cy2 * float(y[0]) + cy1])
         if self._matrix is not None:
             g = g + self._matrix.T @ x
-        for p in self._generic:
-            g = g + p.grad_y(x, y)
         for b in self._regs_y.values():
             g = g - b.weight * b.reg.grad(y)
         return g
@@ -705,10 +648,6 @@ class SumPayoff(PayoffFunction):
     def reg_weight(self, axis: str, tag: str) -> float:
         bucket = self._regs_x if axis == "x" else self._regs_y
         return sum(b.weight for b in bucket.values() if b.reg.tag == tag)
-
-    def reg_tags(self, axis: str) -> set:
-        bucket = self._regs_x if axis == "x" else self._regs_y
-        return {b.reg.tag for b in bucket.values()}
 
     @property
     def entropy_weight_x(self) -> float:
@@ -722,7 +661,6 @@ class SumPayoff(PayoffFunction):
         return (
             self._matrix is not None
             and self._scalar is None
-            and not self._generic
             and not self._regs_x
             and not self._regs_y
         )
@@ -732,7 +670,6 @@ class SumPayoff(PayoffFunction):
         return (
             self._matrix is not None
             and self._scalar is None
-            and not self._generic
             and all(b.reg.tag == "entropy" for b in self._regs_x.values())
             and all(b.reg.tag == "entropy" for b in self._regs_y.values())
         )
@@ -745,31 +682,9 @@ class SumPayoff(PayoffFunction):
     def scalar_coefficients(self) -> np.ndarray | None:
         return self._scalar
 
-    def has_generic_parts(self) -> bool:
-        return bool(self._generic)
-
     # -- restrictions ---------------------------------------------------------
 
-    def _sole_generic_part(self):
-        if (
-            len(self._generic) == 1
-            and self._scalar is None
-            and self._matrix is None
-            and not self._regs_x
-            and not self._regs_y
-        ):
-            return self._generic[0]
-        return None
-
     def restrict_x(self, y):
-        if self._generic:
-            sole = self._sole_generic_part()
-            if sole is not None:
-                return sole.restrict_x(y)
-            y = np.array(y, dtype=float)
-            return GenericOneVar(
-                lambda x: self.value(x, y), lambda x: self.grad_x(x, y)
-            )
         parts = []
         if self._scalar is not None:
             cxy, cx2, cx1, cy2, cy1, c0 = self._scalar
@@ -788,25 +703,15 @@ class SumPayoff(PayoffFunction):
                 )
             )
         out = _merge_quadratics(parts)
+        if out is None:  # empty sum
+            return None
         offset = -sum(b.weight * b.reg.value(y) for b in self._regs_y.values())
         for b in self._regs_x.values():
             out = _attach_regularizer(out, b.reg, b.weight, 0.0)
-            if out is None:
-                return None
-        if out is None:
-            return None
-        _shift_const(out, offset)
+        out.const += offset
         return out
 
     def restrict_y(self, x):
-        if self._generic:
-            sole = self._sole_generic_part()
-            if sole is not None:
-                return sole.restrict_y(x)
-            x = np.array(x, dtype=float)
-            return GenericOneVar(
-                lambda y: self.value(x, y), lambda y: self.grad_y(x, y)
-            )
         parts = []
         if self._scalar is not None:
             cxy, cx2, cx1, cy2, cy1, c0 = self._scalar
@@ -825,14 +730,12 @@ class SumPayoff(PayoffFunction):
                 )
             )
         out = _merge_quadratics(parts)
+        if out is None:  # empty sum
+            return None
         offset = sum(b.weight * b.reg.value(x) for b in self._regs_x.values())
         for b in self._regs_y.values():
             out = _attach_regularizer(out, b.reg, -b.weight, 0.0)
-            if out is None:
-                return None
-        if out is None:
-            return None
-        _shift_const(out, offset)
+        out.const += offset
         return out
 
 
@@ -843,7 +746,3 @@ def _merge_quadratics(parts: list[SeparableQuadratic]) -> SeparableQuadratic | N
     for p in parts[1:]:
         out = SeparableQuadratic(out.quad + p.quad, out.lin + p.lin, out.const + p.const)
     return out
-
-
-def _shift_const(restriction, offset: float) -> None:
-    restriction.const += offset

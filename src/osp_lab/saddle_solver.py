@@ -18,9 +18,14 @@ d = 2 the prox step keeps its own closed form.  Strongly convex-concave
 sums return the last iterate, merely convex-concave sums the ergodic
 average.
 
-Every returned solution carries a certified duality gap obtained from two
-one-sided inner optimizations, which are exact for the structured payoff
-families and projected-gradient otherwise.
+Every returned solution carries a duality gap certified by two exact
+one-sided inner optimizations: every payoff the solver accepts restricts in
+closed form to a separable quadratic or a linear-plus-entropy form (see
+``payoffs``), and ``gap_estimate`` refuses any other with a ``TypeError``.
+``solve_saddle`` folds a single scalar quadratic, bilinear or regularized
+payoff into a one-term `SumPayoff`; any other payoff, such as the knapsack
+Lagrangian and its running aggregate, answers the structure hints of
+`PayoffFunction` and gives its restrictions itself.
 
 ``solve_saddle`` tries its paths in a fixed order and returns from the
 first one that produces a certified pair; only the last iterative path
@@ -43,10 +48,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import FeasibleSet, RestrictedSimplex, Simplex
+from .geometry import Box, FeasibleSet, RestrictedSimplex, Simplex
 from .payoffs import (
-    GenericOneVar,
+    BilinearPayoff,
+    LinearPlusEntropy,
     PayoffFunction,
+    RegularizedPayoff,
+    ScalarQuadraticBilinear,
+    SeparableQuadratic,
     SumPayoff,
     waterfill,
 )
@@ -81,8 +90,10 @@ class SaddleSolution:
         return self.iterations >= cfg.max_iters and self.gap > cfg.tol_gap
 
 
-def _as_sum(f: PayoffFunction) -> SumPayoff:
-    if isinstance(f, SumPayoff):
+def _as_sum(f: PayoffFunction) -> PayoffFunction:
+    """A one-term `SumPayoff` for a single payoff of a family the sum folds,
+    so the solver sees its structure; any other payoff as it is."""
+    if not isinstance(f, (ScalarQuadraticBilinear, BilinearPayoff, RegularizedPayoff)):
         return f
     s = SumPayoff()
     s.add(f)
@@ -107,24 +118,19 @@ def gap_estimate(
     Y: FeasibleSet,
     x: np.ndarray,
     y: np.ndarray,
-    inner_cfg: SolverConfig | None = None,
 ) -> float:
     """max_{y' in Y} f(x, y') - min_{x' in X} f(x', y), clamped at zero.
 
-    Each side is a single-variable convex problem; structured payoffs yield
-    exact closed forms, the rest run projected gradient.
+    Each side is the exact optimum of f's closed-form restriction; a payoff
+    without one raises TypeError.
     """
     if not X.contains(x, 1e-9) or not Y.contains(y, 1e-9):
         raise ValueError("gap_estimate requires a feasible (x, y)")
     ry = f.restrict_y(x)
-    if ry is None:
-        xs = np.array(x, dtype=float)
-        ry = GenericOneVar(lambda yy: f.value(xs, yy), lambda yy: f.grad_y(xs, yy))
-    upper, _ = ry.maximize_over(Y)
     rx = f.restrict_x(y)
-    if rx is None:
-        ys = np.array(y, dtype=float)
-        rx = GenericOneVar(lambda xx: f.value(xx, ys), lambda xx: f.grad_x(xx, ys))
+    if ry is None or rx is None:
+        raise TypeError(f"{type(f).__name__} has no closed-form restriction to certify")
+    upper, _ = ry.maximize_over(Y)
     lower, _ = rx.minimize_over(X)
     return max(float(upper - lower), 0.0)
 
@@ -140,7 +146,11 @@ def solve_matrix_game_2x2(A: np.ndarray) -> SaddleSolution:
     Scans the four pure saddle candidates first (a_ij maximal in its row and
     minimal in its column); only when no pure saddle exists is the mixed
     formula valid, and its denominator is then nonzero.  Fully degenerate
-    (constant) matrices return uniform strategies.
+    (constant) matrices return uniform strategies.  Against cancellation on
+    near-constant games, the denominator adds two row differences, each
+    exact for close entries, and a mixed saddle's value is x*^T A y*, which
+    errs only to second order in the strategies' rounding, instead of the
+    ratio (a00*a11 - a01*a10) / denom.
     """
     A = np.asarray(A, dtype=float)
     if A.shape != (2, 2):
@@ -156,13 +166,12 @@ def solve_matrix_game_2x2(A: np.ndarray) -> SaddleSolution:
                 x[i] = 1.0
                 y[j] = 1.0
                 return SaddleSolution(x, y, float(A[i, j]), 0.0, 0)
-    denom = A[0, 0] - A[0, 1] - A[1, 0] + A[1, 1]
+    denom = (A[0, 0] - A[0, 1]) + (A[1, 1] - A[1, 0])
     x1 = (A[1, 1] - A[1, 0]) / denom
     y1 = (A[1, 1] - A[0, 1]) / denom
-    value = (A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]) / denom
     x = np.array([x1, 1.0 - x1])
     y = np.array([y1, 1.0 - y1])
-    return SaddleSolution(x, y, float(value), 0.0, 0)
+    return SaddleSolution(x, y, float(x @ A @ y), 0.0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +354,9 @@ def _scalar_interior_fast_path(f: SumPayoff, X, Y, cfg) -> SaddleSolution | None
     both boxes; otherwise the iterative path handles the active constraints.
     """
     coeffs = f.scalar_coefficients
-    if coeffs is None or f.matrix is not None or f.has_generic_parts():
+    if coeffs is None or f.matrix is not None:
         return None
-    if f.reg_tags("x") - {"sqnorm"} or f.reg_tags("y") - {"sqnorm"}:
-        return None
+    # a sum with a scalar part carries no regularizer but squared norms
     wx = f.reg_weight("x", "sqnorm")
     wy = f.reg_weight("y", "sqnorm")
     cxy, cx2, cx1, cy2, cy1, _ = coeffs
@@ -374,8 +382,6 @@ def _scalar_interior_fast_path(f: SumPayoff, X, Y, cfg) -> SaddleSolution | None
 
 def _exact_max_restriction(f, x, Y):
     """restrict_y(x) when it admits exact maximization over Y, else None."""
-    from .payoffs import LinearPlusEntropy, SeparableQuadratic
-
     ry = f.restrict_y(x)
     if isinstance(ry, SeparableQuadratic) and np.all(ry.quad <= 0.0):
         return ry
@@ -385,13 +391,12 @@ def _exact_max_restriction(f, x, Y):
 
 
 def _closed_form_envelope_path(f, X, Y, cfg) -> SaddleSolution | None:
-    """Envelope path for a sum whose sole part minimizes its own envelope
+    """Envelope path for a payoff that minimizes its own envelope
     phi(x) = max_y f(x, y) exactly (``envelope_argmin``); None otherwise or
     when the pair fails to certify."""
-    sole = f._sole_generic_part()
-    if sole is None or not hasattr(sole, "envelope_argmin"):
+    if not hasattr(f, "envelope_argmin"):
         return None
-    return _certified_envelope_pair(f, X, Y, cfg, np.array([sole.envelope_argmin(X, Y)]))
+    return _certified_envelope_pair(f, X, Y, cfg, np.array([f.envelope_argmin(X, Y)]))
 
 
 def _scalar_envelope_path(f, X, Y, cfg) -> SaddleSolution | None:
@@ -399,7 +404,7 @@ def _scalar_envelope_path(f, X, Y, cfg) -> SaddleSolution | None:
     golden-section search; each envelope evaluation is an exact closed-form
     inner maximization.  The returned pair is trusted only through its
     certified gap; failure to certify falls back to the iterative path."""
-    if X.dimension != 1 or not hasattr(X, "lower"):
+    if X.dimension != 1 or not isinstance(X, Box):
         return None
     lo, hi = float(X.lower[0]), float(X.upper[0])
     if _exact_max_restriction(f, np.array([lo]), Y) is None:
@@ -451,11 +456,10 @@ def _stationary_y_candidates(f, X, Y, x_star, y_hat):
     zero the x-gradient recovers an interior saddle dual when one exists.
     """
     yield np.asarray(y_hat, dtype=float)
-    if not hasattr(Y, "upper") or Y.dimension > 8:
+    if not isinstance(Y, Box) or Y.dimension > 8:
         return
     gy = f.grad_y(x_star, y_hat)
-    upper = Y.upper
-    lower = Y.lower if hasattr(Y, "lower") else np.zeros(Y.dimension)
+    upper, lower = Y.upper, Y.lower
     free = np.abs(gy) <= 1e-9 * (1.0 + np.abs(gy).max())
     if not free.any():
         return

@@ -3,7 +3,6 @@ import pytest
 
 from osp_lab.geometry import (
     Box,
-    IntervalProduct,
     RestrictedSimplex,
     Simplex,
     interval,
@@ -54,7 +53,7 @@ def test_projection_idempotent_and_feasible():
         Simplex(4),
         RestrictedSimplex(4, 0.05),
         Box(np.array([-1.0, 0.0]), np.array([2.0, 0.5])),
-        IntervalProduct(np.array([1.0, 3.0])),
+        Box(np.zeros(2), np.array([1.0, 3.0])),
     ]
     for dset in sets:
         for _ in range(200):
@@ -68,7 +67,7 @@ def test_diameters():
     assert abs(Simplex(2).diameter() - np.sqrt(2)) < 1e-15
     assert Box(np.array([-10.0]), np.array([10.0])).diameter() == 20.0
     assert RestrictedSimplex(2, 0.5).diameter() == 0.0
-    assert abs(IntervalProduct(np.array([3.0, 4.0])).diameter() - 5.0) < 1e-15
+    assert abs(Box(np.zeros(2), np.array([3.0, 4.0])).diameter() - 5.0) < 1e-15
     assert Simplex(1).diameter() == 0.0
 
 
@@ -84,7 +83,7 @@ def test_projection_nonexpansive():
 
 def test_projection_optimality_vs_random_feasible_points():
     rng = np.random.default_rng(13)
-    for dset in (Simplex(4), RestrictedSimplex(4, 0.1), IntervalProduct(np.ones(3))):
+    for dset in (Simplex(4), RestrictedSimplex(4, 0.1), Box(np.zeros(3), np.ones(3))):
         z = rng.normal(size=dset.dimension) * 2
         p = dset.project(z)
         base = np.linalg.norm(p - z)

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osp_lab import saddle_solver
-from osp_lab.geometry import Box, IntervalProduct
+from osp_lab.geometry import Box
 from osp_lab.knapsack import (
     KnapsackAggregate,
     KnapsackEnvironment,
     KnapsackInstance,
-    OGDAKnapsack,
     PDRFTL,
     PDRFTLConfig,
     QuadraticFn,
@@ -24,6 +23,7 @@ from osp_lab.knapsack import (
     sec82_instance,
     theorem8_steps,
 )
+from osp_lab.metrics_harness import AlgorithmSpec, ScenarioSpec, run_single
 from osp_lab.oracles import grid_knapsack_benchmark
 from osp_lab.payoffs import SeparableQuadratic
 from osp_lab.saddle_solver import SolverConfig, solve_saddle
@@ -328,6 +328,11 @@ def _aggregate(t, H, r, rows, b_over_T):
     return agg
 
 
+def _duals(ymax) -> Box:
+    """The dual box prod_i [0, ymax_i]."""
+    return Box(np.zeros(len(ymax)), np.array(ymax, dtype=float))
+
+
 def _phi(agg, xv: float, Y) -> Fraction:
     """phi(x) = max_y of the aggregate over Y in exact rational arithmetic,
     so that rounding in the evaluation cannot rank two candidates."""
@@ -396,7 +401,7 @@ def test_envelope_argmin_matches_bisection(m, H, t, lo, width, ra2, peak, push, 
     cons = [data.draw(_consumption(lo, hi)) for _ in range(m)]
     agg = _aggregate(t, H, (ra2, ra1), [c[0] for c in cons], [c[1] for c in cons])
     X = Box(np.array([lo]), np.array([hi]))
-    Y = IntervalProduct(np.array([c[2] for c in cons]))
+    Y = _duals([c[2] for c in cons])
     _check_against_bisection(agg, X, Y)
 
 
@@ -406,10 +411,10 @@ def test_envelope_argmin_zero_budget(H, t, ra1, other):
     rows, b, ymax = [(1.0, 10.0, 0.0), other[0]], [0.0, other[1]], [0.0, other[2]]
     agg = _aggregate(t, H, (-1.0, ra1), rows, b)
     X = Box(np.array([0.0]), np.array([20.0]))
-    Y = IntervalProduct(np.array(ymax))
+    Y = _duals(ymax)
     x = _check_against_bisection(agg, X, Y)
     alone = _aggregate(t, H, (-1.0, ra1), rows[1:], b[1:])
-    assert x == alone.envelope_argmin(X, IntervalProduct(np.array(ymax[1:])))
+    assert x == alone.envelope_argmin(X, _duals(ymax[1:]))
 
 
 @given(H=_H, t=_T, ra2=st.floats(-2.0, 0.0), push=st.floats(0.1, 50.0), other=_consumption(1.0, 20.0))
@@ -418,7 +423,7 @@ def test_envelope_argmin_at_lower_end(H, t, ra2, push, other):
     lo = 1.0
     agg = _aggregate(t, H, (ra2, -push), [other[0]], [other[1]])
     X = Box(np.array([lo]), np.array([20.0]))
-    assert _check_against_bisection(agg, X, IntervalProduct(np.array([other[2]]))) == lo
+    assert _check_against_bisection(agg, X, _duals([other[2]])) == lo
 
 
 @given(H=_H, t=_T, ra2=st.floats(-2.0, 0.0), push=st.floats(0.1, 50.0), cons=_consumption(0.0, 10.0))
@@ -429,7 +434,7 @@ def test_envelope_argmin_at_upper_end(H, t, ra2, push, cons):
     b = a2 * hi * hi + a1 * hi + a0 + 1.0
     agg = _aggregate(t, H, (ra2, (2.0 * H - 2.0 * ra2) * hi + push), [(a2, a1, a0)], [b])
     X = Box(np.array([0.0]), np.array([hi]))
-    assert _check_against_bisection(agg, X, IntervalProduct(np.array([ym]))) == hi
+    assert _check_against_bisection(agg, X, _duals([ym])) == hi
 
 
 @given(
@@ -451,8 +456,19 @@ def test_envelope_argmin_at_kink(t, kink, a2, a1, ym, ra2, frac, slack):
     b = [a2 * kink * kink + a1 * kink, 20.0 + slack]  # resource 1 never binds
     agg = _aggregate(t, 0.0, (ra2, ra1), rows, b)
     X = Box(np.array([0.0]), np.array([20.0]))
-    x = _check_against_bisection(agg, X, IntervalProduct(np.array([ym, 1.0])))
+    x = _check_against_bisection(agg, X, _duals([ym, 1.0]))
     assert abs(x - kink) <= 1e-12 * (1.0 + kink)
+
+
+def test_envelope_argmin_kink_root_rounded_past():
+    # H = 0: the float root of g = 0 rounds past the exact kink, where phi
+    # already climbs at slope ~2e5; the minimizer is the float below it
+    rows, b = [(0.0, 33.310474670970876, 0.0)], [69.35344921729484]
+    agg = _aggregate(5733, 0.0, (0.0, 0.001953125), rows, b)
+    X, Y = Box(np.array([0.0]), np.array([10.25])), _duals([1.0])
+    x = _check_against_bisection(agg, X, Y)
+    kink = Fraction(agg.t) * Fraction(agg.b_over_T[0]) / Fraction(agg.c_coef[0, 1])
+    assert Fraction(x) <= kink
 
 
 # ---------------------------------------------------------------------------
@@ -490,3 +506,32 @@ def test_knapsack_solve_rejects_infeasible_warm_start():
     for warm in ((np.array([-1.0]), np.zeros(2)), (np.array([1.0]), Y.upper + 1.0)):
         with pytest.raises(ValueError):
             solve_saddle(agg, inst.X, Y, SolverConfig(warm_start=warm))
+
+
+# ---------------------------------------------------------------------------
+# OGDA on the knapsack Lagrangian
+# ---------------------------------------------------------------------------
+
+
+def test_ogda_knapsack_steps_each_block_with_its_own_size():
+    # budgets that bind within the horizon, so the dual block moves too
+    T, seed, budgets = 200, 11, (0.5, 0.5)
+    spec = ScenarioSpec("ocowk_sec8", T=T, seed=3, params={"budgets_per_round": budgets})
+    run = run_single(spec, AlgorithmSpec("ogda_knapsack"), seed)
+    inst = sec82_instance(T, budgets)
+    steps = theorem8_steps(inst)
+    eta1, eta2 = steps.eta1, steps.eta2
+    assert eta1 != eta2
+    # x <- clip(x - eta1 * grad_x L), y <- clip(y + eta2 * grad_y L), from the null action
+    env = KnapsackEnvironment(inst, seed)
+    x, y = np.zeros(1), np.zeros(inst.m)
+    for t in range(T):
+        assert run.trace.xs[t].tobytes() == x.tobytes()
+        assert run.trace.ys[t].tobytes() == y.tobytes()
+        out = env.step(x)
+        L = inst.lagrangian(out.reward_fn, out.consumption_fns)
+        x, y = (
+            np.clip(x - eta1 * L.grad_x(x, y), inst.X.lower, inst.X.upper),
+            np.clip(y + eta2 * L.grad_y(x, y), 0.0, inst.y_max),
+        )
+    assert np.sum(run.trace.ys[:, 0] > 0.0) >= 100

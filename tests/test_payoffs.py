@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from osp_lab.geometry import Box, RestrictedSimplex, Simplex
+from osp_lab.knapsack import QuadraticFn, sec82_instance
 from osp_lab.matrix_games import EntropyRegularizer
 from osp_lab.oracles import finite_difference_grads, random_feasible_point
 from osp_lab.payoffs import (
@@ -179,3 +180,24 @@ def test_sum_payoff_regularized_bilinear_bookkeeping():
         reg_x.value(x) - reg_y.value(y)
     )
     assert abs(sp.value(x, y) - explicit) < 1e-12
+
+
+def test_sum_refuses_payoffs_without_closed_form_restrictions():
+    scalar = make_quadratic_bilinear(1.0, 1.0, 0.0, 0.0)
+    entropic_scalar = regularize(scalar, EntropyRegularizer(1), EntropyRegularizer(1), 1.0)
+    r, c = QuadraticFn(-1.0, 5.0), [QuadraticFn(1.0, 50.0), QuadraticFn(0.0, 1.0)]
+    lagrangian = sec82_instance(10).lagrangian(r, c)
+    mixed_regs = regularize(
+        make_bilinear(MP), SquaredNormRegularizer(1.0), SquaredNormRegularizer(1.0), 1.0
+    )
+    entropic = regularize(make_bilinear(MP), EntropyRegularizer(2), EntropyRegularizer(2), 1.0)
+    for parts in ([entropic_scalar], [lagrangian], [entropic, mixed_regs], [entropic, scalar]):
+        s = SumPayoff()
+        with pytest.raises(TypeError):
+            for p in parts:
+                s.add(p)
+    # the families it folds still combine
+    s = SumPayoff()
+    for p in (entropic, make_bilinear(MP), entropic):
+        s.add(p)
+    assert s.count == 3 and s.is_entropic_bilinear()

@@ -1,10 +1,17 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from osp_lab.geometry import Box, RestrictedSimplex, Simplex, interval
+from osp_lab.knapsack import KnapsackAggregate, QuadraticFn
 from osp_lab.matrix_games import EntropyRegularizer
 from osp_lab.oracles import grid_matrix_game_2x2, grid_saddle_1d, random_feasible_point
 from osp_lab.payoffs import (
+    PayoffFunction,
+    SeparableQuadratic,
     make_bilinear,
     make_quadratic_bilinear,
     make_scalar_convex_concave,
@@ -194,3 +201,131 @@ def test_boundary_saddle_via_envelope():
     assert sol.gap <= 1e-8
     gval, gx, gy = grid_saddle_1d(f, (-2, 2), (-2, 2))
     assert abs(sol.value - gval) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Exact 2x2 values
+# ---------------------------------------------------------------------------
+
+
+def _exact_2x2_value(A) -> Fraction:
+    """min_x max_y x^T A y of the float matrix A in rational arithmetic."""
+    a = [[Fraction(float(v)) for v in row] for row in A]
+    for i in range(2):
+        for j in range(2):
+            if a[i][1 - j] <= a[i][j] <= a[1 - i][j]:
+                return a[i][j]
+    return (a[0][0] * a[1][1] - a[0][1] * a[1][0]) / (a[0][0] - a[0][1] - a[1][0] + a[1][1])
+
+
+@st.composite
+def _games_2x2(draw):
+    """Entries in [-1, 1]: pure games on a coarse grid, the same moved by a
+    few units of 2^-e (near-pure), and c plus a few units of 2^-e
+    (near-constant)."""
+    kind = draw(st.sampled_from(("pure", "near_pure", "near_constant")))
+    units = np.array(draw(st.lists(st.integers(-64, 64), min_size=4, max_size=4)), dtype=float)
+    tiny = units * 2.0 ** -draw(st.integers(40, 60))
+    if kind == "near_constant":
+        A = draw(st.floats(-0.99, 0.99)) + tiny
+    else:
+        grid = np.array(draw(st.lists(st.integers(-4, 4), min_size=4, max_size=4))) / 4.0
+        A = grid if kind == "pure" else np.clip(grid + tiny, -1.0, 1.0)
+    return A.reshape(2, 2)
+
+
+@settings(max_examples=600)
+@given(A=_games_2x2())
+@example(A=np.array([[0.999999999999987, 1.0], [1.0, 0.999999999999987]]))
+def test_matrix_game_2x2_value_is_exact(A):
+    sol = solve_matrix_game_2x2(A)
+    assert abs(Fraction(sol.value) - _exact_2x2_value(A)) <= Fraction(1, 10**15)
+
+
+# ---------------------------------------------------------------------------
+# The gap certificate
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _certified_case(draw):
+    """(f, X, Y) from one of the three payoff families."""
+    family = draw(st.sampled_from(("scalar", "bilinear", "entropic", "knapsack")))
+
+    def coef(lo, hi):
+        return draw(st.floats(lo, hi))
+
+    if family == "scalar":
+        f = make_scalar_convex_concave(
+            coef(-2, 2), coef(0, 2), coef(-2, 2), coef(-2, 0), coef(-2, 2), coef(-2, 2)
+        )
+        lo_x, lo_y = coef(-2, 1), coef(-2, 1)
+        X = Box(np.array([lo_x]), np.array([lo_x + coef(0, 2)]))
+        Y = Box(np.array([lo_y]), np.array([lo_y + coef(0, 2)]))
+        return f, X, Y
+    if family == "knapsack":
+        m = draw(st.integers(1, 3))
+        H = draw(st.sampled_from((0.0, 0.5)))
+        agg = KnapsackAggregate(m, np.array([coef(0, 2) for _ in range(m)]), H)
+        for _ in range(draw(st.integers(1, 3))):
+            agg.add(
+                QuadraticFn(-coef(0, 2), coef(0, 2), 0.0),
+                [QuadraticFn(coef(0, 2), coef(0, 2), coef(0, 1)) for _ in range(m)],
+            )
+        X = Box(np.array([0.0]), np.array([coef(0, 2)]))
+        Y = Box(np.zeros(m), np.array([coef(0, 2) for _ in range(m)]))
+        return agg, X, Y
+    d1, d2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    floored = draw(st.booleans())
+    theta_x = draw(st.floats(0.0, 1.0 / d1)) if floored else 0.0
+    theta_y = draw(st.floats(0.0, 1.0 / d2)) if floored else 0.0
+    X = RestrictedSimplex(d1, theta_x) if floored else Simplex(d1)
+    Y = RestrictedSimplex(d2, theta_y) if floored else Simplex(d2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = [make_bilinear(rng.uniform(-1, 1, (d1, d2))) for _ in range(draw(st.integers(1, 3)))]
+    if family == "entropic":
+        w = coef(1e-3, 2.0)
+        reg_x, reg_y = EntropyRegularizer(d1, theta_x), EntropyRegularizer(d2, theta_y)
+        terms = [regularize(p, reg_x, reg_y, w) for p in terms]
+    return (terms[0] if len(terms) == 1 else assemble_sum(terms)), X, Y
+
+
+@settings(max_examples=400)
+@given(case=_certified_case(), seed=st.integers(0, 2**32 - 1))
+def test_gap_estimate_bounds_every_sampled_deviation(case, seed):
+    f, X, Y = case
+    rng = np.random.default_rng(seed)
+    x, y = random_feasible_point(X, rng), random_feasible_point(Y, rng)
+    g = gap_estimate(f, X, Y, x, y)
+    assert g >= 0.0
+    best_y = max(f.value(x, random_feasible_point(Y, rng)) for _ in range(16))
+    best_x = min(f.value(random_feasible_point(X, rng), y) for _ in range(16))
+    assert g >= best_y - best_x - 1e-12
+
+
+def test_unstructured_payoffs_are_refused():
+    # an entropy regularizer on a scalar quadratic has no closed-form restriction
+    f = regularize(
+        make_quadratic_bilinear(1.0, 1.0, 0.0, 0.0), EntropyRegularizer(1), EntropyRegularizer(1), 1.0
+    )
+    box = interval(0.1, 1.0)
+    with pytest.raises(TypeError):
+        gap_estimate(f, box, box, np.array([0.5]), np.array([0.5]))
+
+    class Opaque(PayoffFunction):
+        def value(self, x, y):
+            return float(x[0] * y[0])
+
+        def grad_x(self, x, y):
+            return np.array([y[0]])
+
+        def grad_y(self, x, y):
+            return np.array([x[0]])
+
+    with pytest.raises(TypeError):
+        gap_estimate(Opaque(), box, box, np.array([0.5]), np.array([0.5]))
+    with pytest.raises(TypeError):
+        solve_saddle(Opaque(), box, box)
+    # a non-isotropic quadratic over a simplex has no closed-form minimizer
+    with pytest.raises(TypeError):
+        SeparableQuadratic(np.array([1.0, 2.0]), np.zeros(2)).minimize_over(Simplex(2))
