@@ -30,6 +30,11 @@ def project_simplex(z: np.ndarray) -> np.ndarray:
     if d == 1:
         return np.ones(1)
     u = np.sort(z)[::-1]
+    if not u[0] - (u[0] - 1.0) > 0:
+        # the unit mass vanished in rounding (|u[0]| >= 2**53), so no index
+        # would pass the test below; the projection is invariant under a
+        # common shift of z, so move the top entry to 0
+        z, u = z - u[0], u - u[0]
     css = np.cumsum(u) - 1.0
     ks = np.arange(1, d + 1)
     cond = u - css / ks > 0

@@ -8,6 +8,16 @@ L(x, y) = -r(x) - y . (b/T - c(x)) over X x prod_i [0, y_max_i].
 
 Reward and consumption functions are scalar quadratics in the action, which
 keeps every running sum a fixed-size coefficient vector.
+
+The environment draws the whole run's stream at construction, with one
+batched sampler call, and has one budget rule: ``KnapsackEnvironment.settle``
+settles a block of actions from the carried state (cumulative consumption,
+violated flag, cumulative reward) in one array pass; ``step`` is that rule on
+one row.  Settling a whole run after it is played is exact because no agent
+reads the budget state: PD-RFTL, SP-FTL and OGDA see only the revealed
+(r_t, c_t).  An agent that does read it, such as a stop rule that plays the
+null action once the remaining budget could be exceeded, must settle row by
+row with the same function.
 """
 
 from __future__ import annotations
@@ -50,13 +60,25 @@ class Sec82Sampler:
         self.b_high = b_high
         self.a_high = a_high
 
+    def draw_coefficients(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients (a2, a1, a0) of n rounds from one rng call: rewards of
+        shape (n, 3) and consumptions of shape (n, m, 3).  Round t uses the
+        t-th (b, a) pair of the stream, so n = 1 draws the same bits as the
+        first round of any longer batch."""
+        ba = rng.uniform((0.0, 0.0), (self.b_high, self.a_high), size=(n, 2))
+        a = ba[:, 1]
+        R = np.zeros((n, 3))
+        R[:, 0] = -1.0
+        R[:, 1] = ba[:, 0]
+        C = np.zeros((n, self.m, 3))
+        C[:, 0, 0] = a * a
+        C[:, 0, 1] = 50.0
+        C[:, 1, 1] = 1.0
+        return R, C
+
     def draw(self, rng: np.random.Generator) -> tuple[QuadraticFn, list[QuadraticFn]]:
-        b = rng.uniform(0.0, self.b_high)
-        a = rng.uniform(0.0, self.a_high)
-        return (
-            QuadraticFn(-1.0, b, 0.0),
-            [QuadraticFn(a * a, 50.0, 0.0), QuadraticFn(0.0, 1.0, 0.0)],
-        )
+        R, C = self.draw_coefficients(rng, 1)
+        return quadratics(R[0], C[0])
 
     def expectation(self) -> tuple[QuadraticFn, list[QuadraticFn]]:
         eb = self.b_high / 2.0
@@ -77,20 +99,21 @@ class Sec82Sampler:
         return float(-x_star * x_star + self.b_high * x_star)
 
 
+def quadratics(r_row: np.ndarray, c_rows: np.ndarray) -> tuple[QuadraticFn, list[QuadraticFn]]:
+    """The reward and consumption functions of one round's coefficient rows."""
+    return QuadraticFn(*r_row.tolist()), [QuadraticFn(*ci) for ci in c_rows.tolist()]
+
+
 def monte_carlo_expectation(sampler, n: int = 10**6, seed: int = 0):
-    """Coefficient-averaged expectation oracle for quadratic-family samplers."""
+    """Coefficient-averaged expectation oracle for quadratic-family samplers.
+
+    The rows are folded in draw order (a sequential sum), so the result does
+    not depend on how the n draws are batched."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 982451653))))
-    r0, c0 = sampler.draw(rng)
-    r_acc = r0.coefficients()
-    c_acc = [ci.coefficients() for ci in c0]
-    for _ in range(n - 1):
-        r, c = sampler.draw(rng)
-        r_acc += r.coefficients()
-        for acc, ci in zip(c_acc, c):
-            acc += ci.coefficients()
-    r_mean = QuadraticFn(*(r_acc / n))
-    c_mean = [QuadraticFn(*(acc / n)) for acc in c_acc]
-    return r_mean, c_mean
+    R, C = sampler.draw_coefficients(rng, n)
+    r_acc = np.cumsum(R, axis=0)[-1]
+    c_acc = np.cumsum(C, axis=0)[-1]
+    return QuadraticFn(*(r_acc / n)), [QuadraticFn(*row) for row in c_acc / n]
 
 
 @dataclass
@@ -228,6 +251,16 @@ class KnapsackAggregate(PayoffFunction):
         self.r_coef = np.zeros(3)
         self.c_coef = np.zeros((m, 3))
         self.norm_tag = "l2"
+
+    @classmethod
+    def from_sums(cls, b_over_T: np.ndarray, t: int, r_coef: np.ndarray, c_coef: np.ndarray) -> "KnapsackAggregate":
+        """The unregularized (H = 0) aggregate of t rounds whose coefficient
+        sums are already known."""
+        agg = cls(c_coef.shape[0], b_over_T)
+        agg.t = t
+        agg.r_coef = np.array(r_coef, dtype=float)
+        agg.c_coef = np.array(c_coef, dtype=float)
+        return agg
 
     def add(self, r: QuadraticFn, c: list[QuadraticFn]) -> None:
         self.t += 1
@@ -433,33 +466,81 @@ class StepOutcome:
     consumption: np.ndarray
 
 
+@dataclass
+class Settlement:
+    """Per-round outcome of a settled block of n actions."""
+
+    rewards: np.ndarray  # r_t(x_t), shape (n,)
+    consumptions: np.ndarray  # c_t(x_t), shape (n, m)
+    collected: np.ndarray  # reward credited under the budget indicator, (n,)
+    violated: np.ndarray  # budget ever exceeded up to round t, bool (n,)
+    cumulative_consumption: np.ndarray  # (n, m)
+    cumulative_reward: np.ndarray  # (n,)
+
+
 class KnapsackEnvironment:
     """Draws i.i.d. (r_t, c_t), applies the budget indicator, reveals the
-    full pair after the action (full-information setting)."""
+    full pair after the action (full-information setting).
+
+    The T rounds' coefficients are drawn at construction: ``reward_coef``
+    has shape (T, 3) and ``consumption_coef`` shape (T, m, 3)."""
 
     def __init__(self, instance: KnapsackInstance, seed: int):
         self.instance = instance
-        self.rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((seed, 77770001)))
-        )
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 77770001))))
+        self.reward_coef, self.consumption_coef = instance.sampler.draw_coefficients(rng, instance.T)
         self.state = KnapsackState(np.zeros(instance.m))
 
-    def step(self, x_t: np.ndarray) -> StepOutcome:
-        if not self.instance.X.contains(x_t, 1e-9):
+    def functions(self, t: int) -> tuple[QuadraticFn, list[QuadraticFn]]:
+        """Reward and consumption functions of round t (0-based)."""
+        return quadratics(self.reward_coef[t], self.consumption_coef[t])
+
+    def settle(self, xs: np.ndarray) -> Settlement:
+        """The budget rule: play the actions xs (shape (n, 1)) in the next n
+        rounds and advance the carried state.
+
+        Each running sum is sequential from the carried value, so settling a
+        run in one block or row by row gives the same bits.  A round's reward
+        is credited only while the cumulative consumption, this round's
+        included, stays within every budget; once exceeded, the budget stays
+        violated."""
+        inst, st = self.instance, self.state
+        xs = np.asarray(xs, dtype=float)
+        X = inst.X
+        tol = 1e-9
+        if not (
+            xs.ndim == 2
+            and xs.shape[1] == X.dimension
+            and np.all(xs >= X.lower - tol)
+            and np.all(xs <= X.upper + tol)
+        ):
             raise ValueError("infeasible action")
-        xv = float(x_t[0])
-        r, c = self.instance.sampler.draw(self.rng)
-        cons = np.array([ci(xv) for ci in c])
-        st = self.state
-        st.cumulative_consumption = st.cumulative_consumption + cons
-        within = bool(np.all(st.cumulative_consumption <= self.instance.b + 1e-12))
-        if not within:
-            st.violated = True
-        reward = r(xv)
-        collected = reward if not st.violated else 0.0
-        st.cumulative_reward += collected
-        st.round += 1
-        return StepOutcome(r, c, reward, collected, cons)
+        n = xs.shape[0]
+        if st.round + n > inst.T:
+            raise ValueError(f"the horizon has {inst.T} rounds")
+        rows = slice(st.round, st.round + n)
+        R, C = self.reward_coef[rows], self.consumption_coef[rows]
+        x = xs[:, 0]
+        rewards = R[:, 0] * x * x + R[:, 1] * x + R[:, 2]
+        x = x[:, None]
+        cons = C[:, :, 0] * x * x + C[:, :, 1] * x + C[:, :, 2]
+        cum = np.cumsum(np.vstack([st.cumulative_consumption, cons]), axis=0)[1:]
+        within = np.all(cum <= inst.b + 1e-12, axis=1)
+        violated = st.violated | ~np.logical_and.accumulate(within)
+        collected = np.where(violated, 0.0, rewards)
+        cum_reward = np.cumsum(np.concatenate([[st.cumulative_reward], collected]))[1:]
+        if n:
+            st.cumulative_consumption = cum[-1].copy()
+            st.violated = bool(violated[-1])
+            st.cumulative_reward = float(cum_reward[-1])
+            st.round += n
+        return Settlement(rewards, cons, collected, violated, cum, cum_reward)
+
+    def step(self, x_t: np.ndarray) -> StepOutcome:
+        t = self.state.round
+        s = self.settle(np.asarray(x_t, dtype=float)[None])
+        r, c = self.functions(t)
+        return StepOutcome(r, c, float(s.rewards[0]), float(s.collected[0]), s.consumptions[0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 Metrics follow the three regret notions: the absolute gap between realized
 cumulative payoff and the hindsight min-max value, and the two one-sided
 individual regrets against the best fixed action versus the opponent's
-realized sequence.  Sequences are generated lazily from seeds and folded
-into coefficient accumulators round by round, so horizons of 10^4+ never
-materialize payoff lists.
+realized sequence.  Saddle-point and matrix-game sequences are generated
+lazily from seeds and folded into coefficient accumulators round by round,
+so horizons of 10^4+ never materialize payoff lists.  A knapsack run draws
+its whole stream up front; its loop only plays, and the budget settlement,
+the trace, the accumulators and the series are computed after it in one
+pass over arrays of fixed width per round.
 """
 
 from __future__ import annotations
@@ -614,7 +617,7 @@ def _run_osp_like(scenario: Scenario, name: str, resolved: dict, seed: int, emit
         acc_x.add(payoff.restrict_x(y))
         acc_y.add(payoff.restrict_y(x))
         algo.step(payoff)
-        gaps.append(getattr(algo, "last_gap", 0.0))
+        gaps.append(algo.last_gap)
         if series is not None:
             cfg = SolverConfig(
                 tol_gap=float(resolved["tol_gap"][0]),
@@ -648,7 +651,7 @@ def _run_osp_like(scenario: Scenario, name: str, resolved: dict, seed: int, emit
         final_y=warm[1].copy(),
     )
     wall = (time.perf_counter() - start) * 1e3
-    return RunResult(seed, trace, report, wall, getattr(algo, "budget_exceeded_rounds", 0))
+    return RunResult(seed, trace, report, wall, algo.budget_exceeded_rounds)
 
 
 def _run_bandit(scenario: Scenario, resolved: dict, seed: int, emit_series: bool) -> RunResult:
@@ -706,68 +709,97 @@ def _run_bandit(scenario: Scenario, resolved: dict, seed: int, emit_series: bool
     return RunResult(seed, trace, report, wall, algo.budget_exceeded_rounds)
 
 
+def _running(a: np.ndarray, start=None) -> np.ndarray:
+    """Running sums of a along rounds (axis 0), added in round order from
+    start (or from the first row), so row t has the bits of a round-by-round
+    accumulator after round t; np.sum would add in a pairwise order."""
+    if start is not None:
+        return np.cumsum(np.concatenate([start[None], a]), axis=0)[1:]
+    return np.cumsum(a, axis=0)
+
+
+def _y_weighted(YS: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """sum_i y_i * K[:, i] per round, added in the order of a per-round
+    Python sum over the resources."""
+    acc = 0.0
+    for i in range(K.shape[1]):
+        acc = acc + YS[:, i] * K[:, i]
+    return acc
+
+
 def _run_ocowk(scenario: Scenario, name: str, resolved: dict, seed: int, emit_series: bool) -> RunResult:
+    """Play the T rounds, then settle the budget and assemble every trace
+    field, accumulator and series in one pass over arrays.  This is exact
+    because no knapsack agent reads the budget state."""
     start = time.perf_counter()
     inst = scenario.instance
     env = KnapsackEnvironment(inst, seed)
     algo = _build_algorithm(scenario, name, resolved, seed)
     X, Y = inst.X, inst.dual_set()
-    raw_sum = KnapsackAggregate(inst.m, inst.b / inst.T, H=0.0)
-    acc_x = RestrictionAccumulator()
-    acc_y = RestrictionAccumulator()
-    xs, ys, vals, gaps = [], [], [], []
-    rewards, collected, cons, violated = [], [], [], []
-    series = _series_store(emit_series)
-    if series is not None:
-        series["cum_reward"] = []
-        series["violated"] = []
-        for i in range(inst.m):
-            series[f"budget_frac_{i + 1}"] = []
-    for _ in range(inst.T):
+    xs, ys, gaps = [], [], []
+    for t in range(inst.T):
         x_t, y_t = algo.current_action
-        outcome = env.step(x_t)
-        payoff = inst.lagrangian(outcome.reward_fn, outcome.consumption_fns)
-        v = payoff.value(x_t, y_t)
         xs.append(x_t)
         ys.append(y_t)
-        vals.append(v)
-        rewards.append(outcome.reward_value)
-        collected.append(outcome.reward_collected)
-        cons.append(outcome.consumption)
-        violated.append(env.state.violated)
-        raw_sum.add(outcome.reward_fn, outcome.consumption_fns)
-        acc_x.add(payoff.restrict_x(y_t))
-        acc_y.add(payoff.restrict_y(x_t))
+        r, c = env.functions(t)
         if name == "spftl_knapsack":
-            algo.step(outcome.reward_fn, outcome.consumption_fns)
+            algo.step(r, c)
         else:
-            algo.step(payoff)
-        gaps.append(getattr(algo, "last_gap", 0.0))
-        if series is not None:
-            cum = float(np.sum(vals))
-            series["t"].append(len(vals))
-            series["cum_payoff"].append(cum)
-            sol = solve_saddle(raw_sum, X, Y, _solver_config(resolved))
-            series["cum_sp_regret"].append(abs(cum - sol.value))
-            series["cum_ind_x"].append(cum - acc_x.minimize(X))
-            series["cum_ind_y"].append(acc_y.maximize(Y) - cum)
-            series["cum_reward"].append(env.state.cumulative_reward)
-            series["violated"].append(float(env.state.violated))
-            used = env.state.cumulative_consumption
-            for i in range(inst.m):
-                series[f"budget_frac_{i + 1}"].append(float(used[i] / inst.b[i]))
+            algo.step(inst.lagrangian(r, c))
+        gaps.append(algo.last_gap)
+    XS, YS = np.asarray(xs), np.asarray(ys)
+    out = env.settle(XS)
+    R, C = env.reward_coef, env.consumption_coef
+    bT = inst.b / inst.T
+    # the per-round Lagrangian values L_t(x_t, y_t); vecdot adds each row as y @ v does
+    vals = -out.rewards - np.vecdot(YS, bT - out.consumptions)
+    # running sums of L_t(., y_t) and L_t(x_t, .), both separable quadratics
+    x_quad, x_lin, x_const = (-R[:, k] + _y_weighted(YS, C[:, :, k]) for k in range(3))
+    ind_x_quad, ind_x_lin = _running(x_quad), _running(x_lin)
+    ind_x_const = _running(x_const - np.vecdot(YS, bT))
+    ind_y_lin = _running(out.consumptions - bT)
+    ind_y_const = _running(-out.rewards)
+    r_sums = _running(R, np.zeros_like(R[0]))
+    c_sums = _running(C, np.zeros_like(C[0]))
+
+    def restriction_x(t: int) -> SeparableQuadratic:
+        return SeparableQuadratic(ind_x_quad[t : t + 1], ind_x_lin[t : t + 1], ind_x_const[t])
+
+    def restriction_y(t: int) -> SeparableQuadratic:
+        return SeparableQuadratic(np.zeros(inst.m), ind_y_lin[t], ind_y_const[t])
+
+    def hindsight_sum(t: int) -> KnapsackAggregate:
+        return KnapsackAggregate.from_sums(bT, t + 1, r_sums[t], c_sums[t])
+
+    series = None
+    if emit_series:
+        cums = np.array([vals[: t + 1].sum() for t in range(inst.T)])
+        cfg = _solver_config(resolved)
+        hvs = np.array([solve_saddle(hindsight_sum(t), X, Y, cfg).value for t in range(inst.T)])
+        series = {
+            "t": np.arange(1, inst.T + 1),
+            "cum_payoff": cums,
+            "cum_sp_regret": np.abs(cums - hvs),
+            "cum_ind_x": cums - np.array([restriction_x(t).minimize_over(X)[0] for t in range(inst.T)]),
+            "cum_ind_y": np.array([restriction_y(t).maximize_over(Y)[0] for t in range(inst.T)]) - cums,
+            "cum_reward": out.cumulative_reward,
+            "violated": out.violated.astype(float),
+        }
+        for i in range(inst.m):
+            series[f"budget_frac_{i + 1}"] = out.cumulative_consumption[:, i] / inst.b[i]
+    last = inst.T - 1
     realized = float(np.sum(vals))
-    hv = solve_saddle(raw_sum, X, Y, _hindsight_cfg(resolved, algo.current_action)).value
+    hv = solve_saddle(hindsight_sum(last), X, Y, _hindsight_cfg(resolved, algo.current_action)).value
     r_star = float(resolved["r_star"][0])
-    dagger = acc_y.maximize(Y) - realized
+    dagger = float(restriction_y(last).maximize_over(Y)[0]) - realized
     ddagger = realized + r_star  # realized Lagrangian sum minus (-r*)
     total_reward = env.state.cumulative_reward
     report = RegretReport(
         sp_regret=abs(realized - hv),
-        ind_regret_x=realized - acc_x.minimize(X),
+        ind_regret_x=realized - float(restriction_x(last).minimize_over(X)[0]),
         ind_regret_y=dagger,
         hindsight_value=hv,
-        per_round_series={k: np.asarray(v) for k, v in series.items()} if series else None,
+        per_round_series=series,
         extras={
             "r_star": r_star,
             "cumulative_reward": total_reward,
@@ -776,23 +808,21 @@ def _run_ocowk(scenario: Scenario, name: str, resolved: dict, seed: int, emit_se
             "dagger": dagger,
             "ddagger": ddagger,
             "violated": bool(env.state.violated),
-            "reward_lower_bound": reward_lower_bound(
-                np.asarray(rewards), np.asarray(cons), inst
-            ),
+            "reward_lower_bound": reward_lower_bound(out.rewards, out.consumptions, inst),
         },
     )
     trace = RoundTrace(
-        xs=np.asarray(xs),
-        ys=np.asarray(ys),
-        payoff_values=np.asarray(vals),
+        xs=XS,
+        ys=YS,
+        payoff_values=vals,
         solver_gaps=np.asarray(gaps),
-        rewards_collected=np.asarray(collected),
-        reward_values=np.asarray(rewards),
-        consumptions=np.asarray(cons),
-        violated_flags=np.asarray(violated),
+        rewards_collected=out.collected,
+        reward_values=out.rewards,
+        consumptions=out.consumptions,
+        violated_flags=out.violated,
     )
     wall = (time.perf_counter() - start) * 1e3
-    return RunResult(seed, trace, report, wall, getattr(algo, "budget_exceeded_rounds", 0))
+    return RunResult(seed, trace, report, wall, algo.budget_exceeded_rounds)
 
 
 def run_single(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osp_lab.geometry import (
     Box,
@@ -106,6 +108,16 @@ def test_degenerate_restricted_simplex_is_singleton():
     assert np.allclose(z, 0.25)
 
 
+def test_projection_of_inputs_beyond_unit_precision():
+    # |z| >= 2**53 absorbs the unit mass in rounding; the floored simplex at
+    # theta = 1/d - 1e-15 scales moderate inputs up to that size
+    assert np.array_equal(Simplex(2).project(np.array([0.0, 1e17])), [0.0, 1.0])
+    assert np.array_equal(Simplex(3).project(np.full(3, -3e16)), np.full(3, 1.0 / 3.0))
+    rs = RestrictedSimplex(2, 0.5 - 1e-15)
+    p = rs.project(np.array([0.0, 50.0]))
+    assert rs.contains(p, tol=1e-15) and p[1] >= p[0]
+
+
 def test_box_rejects_crossed_bounds():
     with pytest.raises(ValueError):
         Box(np.array([1.0]), np.array([0.0]))
@@ -142,3 +154,45 @@ def test_sorted_threshold_matches_quadratic_program_conditions():
         assert np.ptp(taus) < 1e-9
         if (~support).any():
             assert z[~support].max() <= taus.mean() + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Projection properties, including the degenerate floors theta = 1/d and
+# 1/d - 1e-15, where the floored simplex is a point or almost one
+# ---------------------------------------------------------------------------
+
+_PROJECTION_SETS = [
+    Box(np.array([-1.0, 0.0]), np.array([2.0, 0.5])),
+    Box(np.array([0.0, 3.0, -2.0]), np.array([0.0, 3.0, 5.0])),  # flat in two coordinates
+    Simplex(1),
+    Simplex(2),
+    Simplex(5),
+    RestrictedSimplex(3, 0.1),
+    *(RestrictedSimplex(d, 1.0 / d) for d in (2, 3, 64)),
+    *(RestrictedSimplex(d, 1.0 / d - 1e-15) for d in (2, 3, 64)),
+]
+
+
+def _feasible(dset, rng):
+    # stays inside the set under rounding, also where the floored simplex is
+    # a point: theta + scale * w sums to 1 only up to one ulp per coordinate
+    return dset.project(random_feasible_point(dset, rng))
+
+
+@pytest.mark.parametrize("dset", _PROJECTION_SETS, ids=repr)
+@settings(max_examples=60)
+@given(data=st.data(), scale=st.sampled_from([1e-3, 1.0, 50.0]), seed=st.integers(0, 2**32 - 1))
+def test_projection_properties(dset, data, scale, seed):
+    z = scale * np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dset.dimension, max_size=dset.dimension)))
+    p = dset.project(z)
+    # feasible and idempotent
+    assert dset.contains(p, tol=1e-12)
+    assert np.abs(dset.project(p) - p).max() <= 1e-12
+    # variational inequality: z - P(z) makes an obtuse angle with every w - P(z)
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        w = _feasible(dset, rng)
+        assert (z - p) @ (w - p) <= 1e-12 * max(1.0, scale)
+    # a point already inside stays put
+    inside = _feasible(dset, rng)
+    assert np.abs(dset.project(inside) - inside).max() <= 1e-12

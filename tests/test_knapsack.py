@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from osp_lab import saddle_solver
@@ -23,7 +23,7 @@ from osp_lab.knapsack import (
     sec82_instance,
     theorem8_steps,
 )
-from osp_lab.metrics_harness import AlgorithmSpec, ScenarioSpec, run_single
+from osp_lab.metrics_harness import AlgorithmSpec, RestrictionAccumulator, ScenarioSpec, run_single
 from osp_lab.oracles import grid_knapsack_benchmark
 from osp_lab.payoffs import SeparableQuadratic
 from osp_lab.saddle_solver import SolverConfig, solve_saddle
@@ -219,6 +219,22 @@ def test_monte_carlo_expectation_close_to_analytic():
     e_r, e_c = monte_carlo_expectation(Sec82Sampler(), n=200_000, seed=5)
     assert abs(e_r.a1 - 10.0) < 0.05
     assert abs(e_c[0].a2 - 3.0) < 0.05
+
+
+def test_monte_carlo_expectation_folds_rows_in_draw_order():
+    # reference: draw round by round and add each round's coefficients
+    sampler, n = Sec82Sampler(), 1000
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((5, 982451653))))
+    r, c = sampler.draw(rng)
+    r_acc, c_acc = r.coefficients(), [ci.coefficients() for ci in c]
+    for _ in range(n - 1):
+        r, c = sampler.draw(rng)
+        r_acc += r.coefficients()
+        for acc, ci in zip(c_acc, c):
+            acc += ci.coefficients()
+    e_r, e_c = monte_carlo_expectation(sampler, n=n, seed=5)
+    assert e_r == QuadraticFn(*(r_acc / n))
+    assert e_c == [QuadraticFn(*(acc / n)) for acc in c_acc]
 
 
 def test_knapsack_regret_definitional():
@@ -535,3 +551,198 @@ def test_ogda_knapsack_steps_each_block_with_its_own_size():
             np.clip(y + eta2 * L.grad_y(x, y), 0.0, inst.y_max),
         )
     assert np.sum(run.trace.ys[:, 0] > 0.0) >= 100
+
+
+# ---------------------------------------------------------------------------
+# Whole-run streams and the one budget rule
+# ---------------------------------------------------------------------------
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 300))
+@example(seed=0, n=0)
+@example(seed=5, n=1)
+@example(seed=77770001, n=300)
+def test_batched_draw_equals_per_round_draws(seed, n):
+    sampler = Sec82Sampler()
+    R, C = sampler.draw_coefficients(np.random.default_rng(seed), n)
+    assert R.shape == (n, 3) and C.shape == (n, sampler.m, 3)
+    one_by_one = np.random.default_rng(seed)
+    scalar = np.random.default_rng(seed)
+    for t in range(n):
+        r, c = sampler.draw(one_by_one)
+        assert r.coefficients().tobytes() == R[t].tobytes()
+        assert np.array([ci.coefficients() for ci in c]).tobytes() == C[t].tobytes()
+        # the stream order: one b, then one a, per round
+        b, a = scalar.uniform(0.0, 20.0), scalar.uniform(0.0, 3.0)
+        assert (R[t, 1], C[t, 0, 0]) == (b, a * a)
+
+
+def _budget_instance(T: int, b, y_max=None) -> KnapsackInstance:
+    return KnapsackInstance(
+        X=Box(np.array([0.0]), np.array([20.0])),
+        b=np.asarray(b, dtype=float),
+        T=T,
+        sampler=Sec82Sampler(),
+        y_max=y_max,
+    )
+
+
+def _settle_and_step(inst: KnapsackInstance, seed: int, xs: np.ndarray, cut: int):
+    """Settle xs in two blocks split at `cut`, and step it round by round on
+    a second environment with the same seed; both must agree bit for bit."""
+    blocks = KnapsackEnvironment(inst, seed)
+    parts = [blocks.settle(xs[:cut]), blocks.settle(xs[cut:])]
+    steps = KnapsackEnvironment(inst, seed)
+    outs = [steps.step(x) for x in xs]
+    rewards = np.concatenate([p.rewards for p in parts])
+    assert rewards.tobytes() == np.array([o.reward_value for o in outs]).tobytes()
+    collected = np.concatenate([p.collected for p in parts])
+    assert collected.tobytes() == np.array([o.reward_collected for o in outs]).tobytes()
+    cons = np.concatenate([p.consumptions for p in parts])
+    assert cons.tobytes() == np.array([o.consumption for o in outs]).tobytes()
+    for t, o in enumerate(outs):
+        r, c = blocks.functions(t)
+        assert (r, c) == (o.reward_fn, o.consumption_fns)
+    a, b = blocks.state, steps.state
+    assert a.cumulative_consumption.tobytes() == b.cumulative_consumption.tobytes()
+    assert (a.cumulative_reward, a.violated, a.round) == (b.cumulative_reward, b.violated, b.round)
+    return np.concatenate([p.violated for p in parts]), collected, rewards
+
+
+_ACTIONS = st.lists(st.floats(0.0, 20.0), min_size=1, max_size=60)
+
+
+@given(
+    xs=_ACTIONS,
+    b=st.tuples(st.floats(0.0, 2000.0), st.floats(0.0, 200.0)),
+    seed=st.integers(0, 99),
+    cut=st.integers(0, 60),
+)
+@example(xs=[2.0] * 5, b=(10.0, 10.0), seed=3, cut=2)
+@example(xs=[0.0] * 8, b=(0.0, 0.0), seed=1, cut=0)
+def test_settle_blocks_equal_steps(xs, b, seed, cut):
+    xs = np.array(xs)[:, None]
+    inst = _budget_instance(len(xs), b)
+    violated, collected, rewards = _settle_and_step(inst, seed, xs, min(cut, len(xs)))
+    assert np.all(violated[1:] >= violated[:-1])
+    assert np.all(collected == np.where(violated, 0.0, rewards))
+
+
+def test_settle_last_round_crossing_by_a_small_margin():
+    # the budget of resource 1 is crossed only by the last round, by 1e-9
+    T, seed, x = 40, 7, np.full((40, 1), 3.0)
+    probe = KnapsackEnvironment(_budget_instance(T, (np.inf, np.inf), y_max=(0.0, 0.0)), seed)
+    total = probe.settle(x).cumulative_consumption[-1]
+    inst = _budget_instance(T, (total[0] - 1e-9, np.inf), y_max=(1.0, 0.0))
+    violated, collected, rewards = _settle_and_step(inst, seed, x, T // 2)
+    assert not violated[:-1].any() and violated[-1]
+    assert collected[-1] == 0.0 and collected[:-1].tobytes() == rewards[:-1].tobytes()
+
+
+def test_settle_without_budgets_and_with_the_null_action():
+    T, seed = 25, 4
+    xs = np.random.default_rng(0).uniform(0.0, 20.0, size=(T, 1))
+    free = _budget_instance(T, (np.inf, np.inf), y_max=(0.0, 0.0))
+    violated, collected, rewards = _settle_and_step(free, seed, xs, 10)
+    assert not violated.any() and collected.tobytes() == rewards.tobytes()
+    tight = _budget_instance(T, (0.0, 0.0))
+    violated, collected, _ = _settle_and_step(tight, seed, np.zeros((T, 1)), 0)
+    assert not violated.any() and np.all(collected == 0.0)
+
+
+def test_settle_rejects_infeasible_actions_and_the_end_of_the_horizon():
+    inst = sec82_instance(6)
+    env = KnapsackEnvironment(inst, seed=2)
+    for bad in (np.array([[1.0], [25.0]]), np.array([[1.0], [np.nan]]), np.ones((2, 2)), np.ones(2)):
+        with pytest.raises(ValueError):
+            env.settle(bad)
+    assert env.state.round == 0
+    env.settle(np.ones((6, 1)))
+    with pytest.raises(ValueError):
+        env.step(np.ones(1))
+
+
+@pytest.mark.parametrize("emit_series", [False, True])
+@pytest.mark.parametrize(
+    "name, budgets",
+    # binding budgets; at (50, 0.5) both duals of SP-FTL are positive, so
+    # every y . v adds two nonzero products
+    [("pd_rftl", (0.5, 0.5)), ("spftl_knapsack", (0.5, 0.5)), ("spftl_knapsack", (50.0, 0.5))],
+)
+def test_ocowk_run_matches_a_hand_loop_over_steps(name, budgets, emit_series):
+    # the harness settles the budget after the run; this reference steps the
+    # environment and folds every accumulator round by round
+    T, seed = 200, 5
+    spec = ScenarioSpec("ocowk_sec8", T=T, seed=3, params={"budgets_per_round": budgets})
+    run = run_single(spec, AlgorithmSpec(name), seed, emit_series=emit_series)
+    inst = sec82_instance(T, budgets)
+    X, Y = inst.X, inst.dual_set()
+    solver = SolverConfig(tol_gap=1e-6, max_iters=50_000)
+    if name == "pd_rftl":
+        agent = PDRFTL(X, Y, theorem8_steps(inst))
+    else:
+        agent = SPFTLKnapsackAgent(inst, H=T ** (-1.0 / 6.0), solver=solver)
+    env = KnapsackEnvironment(inst, seed)
+    raw_sum = KnapsackAggregate(inst.m, inst.b / inst.T, H=0.0)
+    acc_x, acc_y = RestrictionAccumulator(), RestrictionAccumulator()
+    cols = {
+        k: []
+        for k in ("xs", "ys", "payoff_values", "solver_gaps", "reward_values",
+                  "rewards_collected", "consumptions", "violated_flags")
+    }
+    series = {
+        k: []
+        for k in ("t", "cum_payoff", "cum_sp_regret", "cum_ind_x", "cum_ind_y", "cum_reward", "violated",
+                  "budget_frac_1", "budget_frac_2")
+    }
+    for t in range(T):
+        x_t, y_t = agent.current_action
+        out = env.step(x_t)
+        L = inst.lagrangian(out.reward_fn, out.consumption_fns)
+        raw_sum.add(out.reward_fn, out.consumption_fns)
+        acc_x.add(L.restrict_x(y_t))
+        acc_y.add(L.restrict_y(x_t))
+        if name == "pd_rftl":
+            agent.step(L)
+        else:
+            agent.step(out.reward_fn, out.consumption_fns)
+        st = env.state
+        row = (x_t, y_t, L.value(x_t, y_t), agent.last_gap, out.reward_value, out.reward_collected,
+               out.consumption, st.violated)
+        for col, v in zip(cols.values(), row):
+            col.append(v)
+        cum = float(np.sum(cols["payoff_values"]))
+        row = (
+            t + 1,
+            cum,
+            abs(cum - solve_saddle(raw_sum, X, Y, solver).value),
+            cum - acc_x.minimize(X),
+            acc_y.maximize(Y) - cum,
+            st.cumulative_reward,
+            float(st.violated),
+            *(st.cumulative_consumption / inst.b),
+        )
+        for col, v in zip(series.values(), row):
+            col.append(v)
+    assert env.state.violated  # the budgets bind
+    for k, v in cols.items():
+        got, want = getattr(run.trace, k), np.asarray(v)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), k
+    realized = float(np.sum(cols["payoff_values"]))
+    hindsight = SolverConfig(tol_gap=1e-6, max_iters=200_000, warm_start=agent.current_action)
+    hv = solve_saddle(raw_sum, X, Y, hindsight).value
+    rep = run.report
+    assert rep.hindsight_value == hv and rep.sp_regret == abs(realized - hv)
+    assert rep.ind_regret_x == realized - acc_x.minimize(X)
+    assert rep.ind_regret_y == acc_y.maximize(Y) - realized == rep.extras["dagger"]
+    assert rep.extras["cumulative_reward"] == env.state.cumulative_reward
+    assert rep.extras["violated"] is True
+    lb = reward_lower_bound(np.asarray(cols["reward_values"]), np.asarray(cols["consumptions"]), inst)
+    assert rep.extras["reward_lower_bound"] == lb
+    if not emit_series:
+        assert rep.per_round_series is None
+        return
+    assert list(rep.per_round_series) == list(series)
+    for k, v in series.items():
+        got, want = rep.per_round_series[k], np.asarray(v)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), k
