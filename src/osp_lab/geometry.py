@@ -196,6 +196,10 @@ class RestrictedSimplex(FeasibleSet):
     def uniform(self) -> np.ndarray:
         return np.full(self.d, 1.0 / self.d)
 
+    # by symmetry the projection of 0 is the exact centre; projecting through
+    # the embedding would round theta + scale/d off 1/d for some (d, theta)
+    origin_projection = uniform
+
     def minimize_linear(self, g):
         # floor mass theta everywhere, free mass scale on the best coordinate
         g = np.asarray(g, dtype=float)

@@ -18,16 +18,21 @@ reads the budget state: PD-RFTL, SP-FTL and OGDA see only the revealed
 (r_t, c_t).  An agent that does read it, such as a stop rule that plays the
 null action once the remaining budget could be exceeded, must settle row by
 row with the same function.
+
+The SP-FTL agent is ``osp_algorithms.SPFTL``, the library's one
+follow-the-leader driver, with its running sum replaced by a
+``KnapsackAggregate``; PD-RFTL takes gradient steps and has its own ``step``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import Box, FeasibleSet
+from .osp_algorithms import SPFTL, SPFTLConfig
 from .payoffs import PayoffFunction, SeparableQuadratic
 from .saddle_solver import SolverConfig, solve_saddle
 
@@ -143,9 +148,12 @@ class KnapsackInstance:
         if self.y_max is None:
             x_max = float(self.X.upper[0])
             r_max = self.sampler.max_reward(x_max)
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", over="ignore"):
                 self.y_max = np.where(self.b > 0, r_max / (self.b / self.T), 0.0)
         self.y_max = np.asarray(self.y_max, dtype=float)
+        if not np.all(np.isfinite(self.y_max) & (self.y_max >= 0)):
+            # e.g. the default bound of a positive budget so small that b/T is subnormal
+            raise ValueError(f"y_max must be finite and nonnegative, got {self.y_max}")
         self._verify_null_action()
 
     def _verify_null_action(self, n_probes: int = 8):
@@ -262,10 +270,10 @@ class KnapsackAggregate(PayoffFunction):
         agg.c_coef = np.array(c_coef, dtype=float)
         return agg
 
-    def add(self, r: QuadraticFn, c: list[QuadraticFn]) -> None:
+    def add(self, lagrangian: KnapsackLagrangian) -> None:
         self.t += 1
-        self.r_coef += r.coefficients()
-        for i, ci in enumerate(c):
+        self.r_coef += lagrangian.r.coefficients()
+        for i, ci in enumerate(lagrangian.c):
             self.c_coef[i] += ci.coefficients()
 
     @property
@@ -591,7 +599,6 @@ class PDRFTL:
             X.origin_projection(),
             Y.origin_projection(),
         )
-        self.round = 0
         self.budget_exceeded_rounds = 0
         self.last_gap = 0.0
 
@@ -602,15 +609,15 @@ class PDRFTL:
         x_next = self.X.project(-self.config.eta1 * self.grad_sum_x)
         y_next = self.Y.project(self.config.eta2 * self.grad_sum_y)
         self.current_action = (x_next, y_next)
-        self.round += 1
         return self.current_action
 
 
-class SPFTLKnapsackAgent:
+class SPFTLKnapsackAgent(SPFTL):
     """SP-FTL on the H-regularized Lagrangians, H = T^(-1/6) by default.
 
-    The saddle-point machinery sees the regularized sequence; reward and
-    regret accounting stay with the raw Lagrangians.
+    The saddle-point machinery sees the regularized sequence, held as the
+    running ``KnapsackAggregate``; reward and regret accounting stay with the
+    raw Lagrangians that ``step`` observes.
     """
 
     algorithm_id = "spftl_knapsack"
@@ -625,30 +632,11 @@ class SPFTLKnapsackAgent:
             H = float(instance.T ** (-1.0 / 6.0))
         if H <= 0:
             raise ValueError("H must be positive: the regularized payoff must be strongly convex-concave")
-        self.instance = instance
+        # each observed Lagrangian is linear in y; the aggregate adds the H terms
+        config = SPFTLConfig(solver=solver or SolverConfig(), require_strong_convexity=False)
+        super().__init__(instance.X, instance.dual_set(), config)
         self.H = H
-        self.X = instance.X
-        self.Y = instance.dual_set()
-        self.solver = solver or SolverConfig()
-        self.aggregate = KnapsackAggregate(instance.m, instance.b / instance.T, H)
-        self.current_action: tuple[np.ndarray, np.ndarray] = (
-            self.X.origin_projection(),
-            self.Y.origin_projection(),
-        )
-        self.round = 0
-        self.budget_exceeded_rounds = 0
-        self.last_gap = 0.0
-
-    def step(self, r: QuadraticFn, c: list[QuadraticFn]) -> tuple[np.ndarray, np.ndarray]:
-        self.aggregate.add(r, c)
-        cfg = replace(self.solver, warm_start=self.current_action)
-        sol = solve_saddle(self.aggregate, self.X, self.Y, cfg)
-        if sol.budget_exhausted(cfg):
-            self.budget_exceeded_rounds += 1
-        self.last_gap = sol.gap
-        self.current_action = (sol.x_star, sol.y_star)
-        self.round += 1
-        return self.current_action
+        self.payoff_sum = KnapsackAggregate(instance.m, instance.b / instance.T, H)
 
 
 # ---------------------------------------------------------------------------
@@ -677,12 +665,8 @@ def benchmark_r_star(
     return -instance.T * sol.value
 
 
-def knapsack_regret(state_or_reward, r_star: float) -> float:
-    reward = (
-        state_or_reward.cumulative_reward
-        if hasattr(state_or_reward, "cumulative_reward")
-        else float(state_or_reward)
-    )
+def knapsack_regret(reward: float, r_star: float) -> float:
+    """r* minus the reward collected under the budget indicator."""
     return r_star - reward
 
 

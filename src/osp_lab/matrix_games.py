@@ -4,24 +4,22 @@ Entropy-regularized follow-the-leader (OMG-RFTL) under full information,
 and its bandit variant where each round only the payoff entry of the
 sampled action pair is observed and the matrix is reconstructed by a
 single-cell importance-weighted estimate.
+
+OMG-RFTL is ``osp_algorithms.SPRFTL`` with entropy regularizers over floored
+simplexes and the bandit algorithm is OMG-RFTL fed one-point estimates, so
+both play their rounds through ``SPFTL.step``, the one follow-the-leader driver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import RestrictedSimplex
-from .payoffs import (
-    BilinearPayoff,
-    PayoffFunction,
-    Regularizer,
-    SumPayoff,
-    negentropy,
-    regularize,
-)
-from .saddle_solver import SaddleSolution, SolverConfig, solve_saddle
+from .osp_algorithms import SPRFTL, SPRFTLConfig
+from .payoffs import BilinearPayoff, Regularizer, negentropy
+from .saddle_solver import SolverConfig
 
 
 @dataclass
@@ -88,41 +86,19 @@ def omg_defaults(T: int, G: float, d1: int, d2: int, solver: SolverConfig | None
     )
 
 
-class OMGRFTL:
-    """Entropy-regularized saddle-point FTL over floored simplexes."""
+class OMGRFTL(SPRFTL):
+    """Entropy-regularized saddle-point FTL over floored simplexes: SP-RFTL
+    with R(z) = sum z ln z + ln d on {z in Delta_d : z_i >= theta}."""
 
     algorithm_id = "omg_rftl"
 
     def __init__(self, d1: int, d2: int, config: OMGConfig):
-        self.d1 = d1
-        self.d2 = d2
-        self.config = config
-        self.X = RestrictedSimplex(d1, config.theta)
-        self.Y = RestrictedSimplex(d2, config.theta)
-        self.reg_x = EntropyRegularizer(d1, config.theta)
-        self.reg_y = EntropyRegularizer(d2, config.theta)
-        self.payoff_sum = SumPayoff()
-        self.round = 0
-        self.current_action: tuple[np.ndarray, np.ndarray] = (
-            self.X.uniform(),
-            self.Y.uniform(),
+        theta = config.theta
+        super().__init__(
+            RestrictedSimplex(d1, theta),
+            RestrictedSimplex(d2, theta),
+            SPRFTLConfig(config.eta, EntropyRegularizer(d1, theta), EntropyRegularizer(d2, theta), config.solver),
         )
-        self.last_gap = 0.0
-        self.budget_exceeded_rounds = 0
-
-    def step(self, observed: PayoffFunction | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if not isinstance(observed, PayoffFunction):
-            observed = BilinearPayoff(np.asarray(observed, dtype=float))
-        wrapped = regularize(observed, self.reg_x, self.reg_y, 1.0 / self.config.eta)
-        self.payoff_sum.add(wrapped)
-        cfg = replace(self.config.solver, warm_start=self.current_action)
-        sol = solve_saddle(self.payoff_sum, self.X, self.Y, cfg)
-        if sol.budget_exhausted(cfg):
-            self.budget_exceeded_rounds += 1
-        self.last_gap = sol.gap
-        self.current_action = (sol.x_star, sol.y_star)
-        self.round += 1
-        return self.current_action
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +187,7 @@ def bandit_defaults(
     )
 
 
-class BanditOMGRFTL:
+class BanditOMGRFTL(OMGRFTL):
     """OMG-RFTL driven by one-point estimates under bandit feedback.
 
     Both players share a master seed and randomize jointly: the master seed
@@ -221,30 +197,13 @@ class BanditOMGRFTL:
     algorithm_id = "bandit_omg_rftl"
 
     def __init__(self, d1: int, d2: int, config: BanditConfig):
-        self.d1 = d1
-        self.d2 = d2
-        self.config = config
-        inner = OMGConfig(eta=config.eta, theta=config.delta, solver=config.solver)
-        self.inner = OMGRFTL(d1, d2, inner)
+        super().__init__(d1, d2, OMGConfig(eta=config.eta, theta=config.delta, solver=config.solver))
         self.rng_x = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((config.rng_seed, 0)))
         )
         self.rng_y = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((config.rng_seed, 1)))
         )
-        self.round = 0
-
-    @property
-    def current_action(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.inner.current_action
-
-    @property
-    def budget_exceeded_rounds(self) -> int:
-        return self.inner.budget_exceeded_rounds
-
-    @property
-    def last_gap(self) -> float:
-        return self.inner.last_gap
 
     def step(self, env_callback) -> tuple[int, int, OnePointEstimate]:
         """Sample actions, query the environment once, update on the estimate.
@@ -252,13 +211,12 @@ class BanditOMGRFTL:
         Returns the sampled action indices and the one-point estimate built
         from the observed entry.
         """
-        x_t, y_t = self.inner.current_action
+        x_t, y_t = self.current_action
         i = sample_from_distribution(x_t, self.rng_x)
         j = sample_from_distribution(y_t, self.rng_y)
         entry = float(env_callback(i, j))
         if not np.isfinite(entry):
             raise ValueError("environment returned a non-finite payoff entry")
         est = one_point_estimate(entry, i, j, x_t, y_t)
-        self.inner.step(est.to_payoff())
-        self.round += 1
+        super().step(est.to_payoff())
         return i, j, est

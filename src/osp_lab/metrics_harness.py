@@ -28,6 +28,7 @@ from .knapsack import (
     PDRFTLConfig,
     SPFTLKnapsackAgent,
     benchmark_r_star,
+    knapsack_regret,
     reward_lower_bound,
     sec82_instance,
     theorem8_steps,
@@ -741,11 +742,7 @@ def _run_ocowk(scenario: Scenario, name: str, resolved: dict, seed: int, emit_se
         x_t, y_t = algo.current_action
         xs.append(x_t)
         ys.append(y_t)
-        r, c = env.functions(t)
-        if name == "spftl_knapsack":
-            algo.step(r, c)
-        else:
-            algo.step(inst.lagrangian(r, c))
+        algo.step(inst.lagrangian(*env.functions(t)))
         gaps.append(algo.last_gap)
     XS, YS = np.asarray(xs), np.asarray(ys)
     out = env.settle(XS)
@@ -803,7 +800,7 @@ def _run_ocowk(scenario: Scenario, name: str, resolved: dict, seed: int, emit_se
         extras={
             "r_star": r_star,
             "cumulative_reward": total_reward,
-            "knapsack_regret": r_star - total_reward,
+            "knapsack_regret": knapsack_regret(total_reward, r_star),
             "reward_ratio": total_reward / r_star if r_star != 0 else np.nan,
             "dagger": dagger,
             "ddagger": ddagger,

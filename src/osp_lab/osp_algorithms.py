@@ -5,6 +5,13 @@ same after adding strongly convex regularizers to each observed payoff;
 OGDA is the decoupled baseline where each player runs projected online
 gradient descent/ascent against the other's last action.
 
+``SPFTL.step`` is the one follow-the-leader driver of the library: add the
+observed payoff to the running sum, solve it warm-started at the current
+action, count a spent solver budget, move.  OMG-RFTL and its bandit variant
+(``matrix_games``) are SP-RFTL over floored simplexes, and the SP-FTL
+knapsack agent (``knapsack``) is SP-FTL on a Lagrangian running sum; they
+only construct their sets, regularizers and sums.
+
 All three are deterministic: identical configuration and observation
 sequence reproduce the iterate trace bitwise.
 """
@@ -17,7 +24,7 @@ import numpy as np
 
 from .geometry import FeasibleSet
 from .payoffs import PayoffFunction, Regularizer, SumPayoff, regularize
-from .saddle_solver import SaddleSolution, SolverConfig, solve_saddle
+from .saddle_solver import SolverConfig, solve_saddle
 
 
 @dataclass
@@ -30,7 +37,10 @@ class SPFTLConfig:
 
 class SPFTL:
     """Saddle-point follow-the-leader: after observing round t, move to the
-    saddle of the cumulative payoff, warm-started at the current action."""
+    saddle of the cumulative payoff, warm-started at the current action.
+
+    ``payoff_sum`` is any running sum with an ``add`` of the observed payoff;
+    the knapsack agent replaces it by a coefficient aggregate."""
 
     algorithm_id = "spftl"
 
@@ -39,35 +49,25 @@ class SPFTL:
         self.Y = Y
         self.config = config or SPFTLConfig()
         self.payoff_sum = SumPayoff()
-        self.round = 0
         self.current_action: tuple[np.ndarray, np.ndarray] = (
             X.origin_projection(),
             Y.origin_projection(),
         )
-        self.last_solution: SaddleSolution | None = None
         self.last_gap = 0.0
         self.budget_exceeded_rounds = 0
-
-    def _solve_target(self) -> PayoffFunction:
-        return self.payoff_sum
-
-    def _record(self, observed: PayoffFunction) -> None:
-        self.payoff_sum.add(observed)
 
     def step(self, observed: PayoffFunction) -> tuple[np.ndarray, np.ndarray]:
         if self.config.require_strong_convexity and observed.strong_H <= 0:
             raise ValueError(
                 "SP-FTL requires strongly convex-concave payoffs; use SP-RFTL"
             )
-        self._record(observed)
+        self.payoff_sum.add(observed)
         cfg = replace(self.config.solver, warm_start=self.current_action)
-        sol = solve_saddle(self._solve_target(), self.X, self.Y, cfg)
+        sol = solve_saddle(self.payoff_sum, self.X, self.Y, cfg)
         if sol.budget_exhausted(cfg):
             self.budget_exceeded_rounds += 1
-        self.last_solution = sol
         self.last_gap = sol.gap
         self.current_action = (sol.x_star, sol.y_star)
-        self.round += 1
         return self.current_action
 
 

@@ -215,10 +215,6 @@ def _estimate_lipschitz(f, X, Y, x, y) -> float:
     return L
 
 
-def _certify(f, X, Y, x, y):
-    return gap_estimate(f, X, Y, x, y)
-
-
 def _extragradient(f, X, Y, x, y, cfg: SolverConfig) -> SaddleSolution:
     strongly = f.strong_H > 0
     L = _estimate_lipschitz(f, X, Y, x, y)
@@ -250,7 +246,7 @@ def _extragradient(f, X, Y, x, y, cfg: SolverConfig) -> SaddleSolution:
                 cx, cy = x, y
             else:
                 cx, cy = sum_x / navg, sum_y / navg
-            g = _certify(f, X, Y, cx, cy)
+            g = gap_estimate(f, X, Y, cx, cy)
             cand = SaddleSolution(cx.copy(), cy.copy(), f.value(cx, cy), g, it)
             if best is None or g < best.gap:
                 best = cand
@@ -259,7 +255,7 @@ def _extragradient(f, X, Y, x, y, cfg: SolverConfig) -> SaddleSolution:
             check_at = max(check_at * 2, it + 1)
     if best is None:
         cx, cy = (x, y) if strongly else (sum_x / max(navg, 1), sum_y / max(navg, 1))
-        best = SaddleSolution(cx.copy(), cy.copy(), f.value(cx, cy), _certify(f, X, Y, cx, cy), it)
+        best = SaddleSolution(cx.copy(), cy.copy(), f.value(cx, cy), gap_estimate(f, X, Y, cx, cy), it)
     best.iterations = cfg.max_iters
     return best
 
@@ -334,7 +330,7 @@ def _mirror_prox_entropic(f: SumPayoff, X, Y, x, y, cfg: SolverConfig) -> Saddle
                 cx, cy = x, y
             else:
                 cx, cy = sum_x / navg, sum_y / navg
-            g = _certify(f, X, Y, cx, cy)
+            g = gap_estimate(f, X, Y, cx, cy)
             cand = SaddleSolution(cx.copy(), cy.copy(), f.value(cx, cy), g, it)
             if best is None or g < best.gap:
                 best = cand
@@ -342,7 +338,7 @@ def _mirror_prox_entropic(f: SumPayoff, X, Y, x, y, cfg: SolverConfig) -> Saddle
                 return cand
             check_at = max(check_at * 2, it + 1)
     if best is None:
-        best = SaddleSolution(x.copy(), y.copy(), f.value(x, y), _certify(f, X, Y, x, y), it)
+        best = SaddleSolution(x.copy(), y.copy(), f.value(x, y), gap_estimate(f, X, Y, x, y), it)
     best.iterations = cfg.max_iters
     return best
 
@@ -374,7 +370,7 @@ def _scalar_interior_fast_path(f: SumPayoff, X, Y, cfg) -> SaddleSolution | None
     if not (X.contains(xs, -1e-12) and Y.contains(ys, -1e-12)):
         # negative tolerance = strict interiority check
         return None
-    g = _certify(f, X, Y, xs, ys)
+    g = gap_estimate(f, X, Y, xs, ys)
     if g > cfg.tol_gap:
         return None
     return SaddleSolution(xs, ys, f.value(xs, ys), g, 0)
@@ -442,7 +438,7 @@ def _certified_envelope_pair(f, X, Y, cfg, x_star) -> SaddleSolution | None:
         return None
     _, y_hat = ry.maximize_over(Y)
     for y_cand in _stationary_y_candidates(f, X, Y, x_star, y_hat):
-        g = _certify(f, X, Y, x_star, y_cand)
+        g = gap_estimate(f, X, Y, x_star, y_cand)
         if g <= cfg.tol_gap:
             return SaddleSolution(x_star.copy(), y_cand, f.value(x_star, y_cand), g, 0)
     return None
@@ -516,7 +512,7 @@ def solve_saddle(
         and f.matrix.shape == (2, 2)
     ):
         sol = solve_matrix_game_2x2(f.matrix)
-        sol.gap = _certify(f, X, Y, sol.x_star, sol.y_star)
+        sol.gap = gap_estimate(f, X, Y, sol.x_star, sol.y_star)
         return sol
 
     fast = _scalar_interior_fast_path(f, X, Y, cfg)
@@ -528,7 +524,7 @@ def solve_saddle(
         return envelope
 
     if cfg.warm_start is not None:
-        g0 = _certify(f, X, Y, x0, y0)
+        g0 = gap_estimate(f, X, Y, x0, y0)
         if g0 <= cfg.tol_gap:
             return SaddleSolution(x0, y0, f.value(x0, y0), g0, 0)
 

@@ -135,7 +135,7 @@ def _reference_mirror_prox_entropic(f, X, Y, x, y, cfg):
                 cx, cy = x, y
             else:
                 cx, cy = sum_x / navg, sum_y / navg
-            g = saddle_solver._certify(f, X, Y, cx, cy)
+            g = saddle_solver.gap_estimate(f, X, Y, cx, cy)
             cand = SaddleSolution(cx.copy(), cy.copy(), f.value(cx, cy), g, it)
             if best is None or g < best.gap:
                 best = cand
@@ -143,7 +143,7 @@ def _reference_mirror_prox_entropic(f, X, Y, x, y, cfg):
                 return cand
             check_at = max(check_at * 2, it + 1)
     if best is None:
-        best = SaddleSolution(x.copy(), y.copy(), f.value(x, y), saddle_solver._certify(f, X, Y, x, y), it)
+        best = SaddleSolution(x.copy(), y.copy(), f.value(x, y), saddle_solver.gap_estimate(f, X, Y, x, y), it)
     best.iterations = cfg.max_iters
     return best
 

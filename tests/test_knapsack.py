@@ -186,8 +186,8 @@ def test_spftl_knapsack_agent_defaults():
     # first action: saddle of the first regularized Lagrangian alone
     r = QuadraticFn(-1.0, 10.0, 0.0)
     c = [QuadraticFn(3.0, 50.0, 0.0), QuadraticFn(0.0, 1.0, 0.0)]
-    x, y = agent.step(r, c)
-    agg = agent.aggregate
+    x, y = agent.step(inst.lagrangian(r, c))
+    agg = agent.payoff_sum
     from osp_lab.saddle_solver import gap_estimate
 
     assert gap_estimate(agg, inst.X, inst.dual_set(), x, y) <= 1e-6
@@ -243,7 +243,7 @@ def test_knapsack_regret_definitional():
     env = KnapsackEnvironment(inst, seed=9)
     for _ in range(50):
         env.step(np.array([0.0]))  # always the null action
-    assert abs(knapsack_regret(env.state, r_star) - r_star) < 1e-12
+    assert abs(knapsack_regret(env.state.cumulative_reward, r_star) - r_star) < 1e-12
 
 
 def test_reward_lower_bound_holds_on_traces():
@@ -508,16 +508,17 @@ def test_spftl_knapsack_round_certifies_once(monkeypatch):
     for _ in range(T):
         out = env.step(agent.current_action[0])
         before = len(calls)
-        agent.step(out.reward_fn, out.consumption_fns)
+        agent.step(inst.lagrangian(out.reward_fn, out.consumption_fns))
         assert len(calls) - before == 1
-        assert agent.last_gap <= agent.solver.tol_gap
+        assert agent.last_gap <= agent.config.solver.tol_gap
     assert agent.budget_exceeded_rounds == 0
 
 
 def test_knapsack_solve_rejects_infeasible_warm_start():
     inst = sec82_instance(50)
     agg = KnapsackAggregate(inst.m, inst.b / inst.T, H=0.5)
-    agg.add(QuadraticFn(-1.0, 10.0, 0.0), [QuadraticFn(1.0, 50.0, 0.0), QuadraticFn(0.0, 1.0, 0.0)])
+    r = QuadraticFn(-1.0, 10.0, 0.0)
+    agg.add(inst.lagrangian(r, [QuadraticFn(1.0, 50.0, 0.0), QuadraticFn(0.0, 1.0, 0.0)]))
     Y = inst.dual_set()
     for warm in ((np.array([-1.0]), np.zeros(2)), (np.array([1.0]), Y.upper + 1.0)):
         with pytest.raises(ValueError):
@@ -622,10 +623,22 @@ _ACTIONS = st.lists(st.floats(0.0, 20.0), min_size=1, max_size=60)
 @example(xs=[0.0] * 8, b=(0.0, 0.0), seed=1, cut=0)
 def test_settle_blocks_equal_steps(xs, b, seed, cut):
     xs = np.array(xs)[:, None]
-    inst = _budget_instance(len(xs), b)
+    # settling never reads y_max, and the default one of a budget with a
+    # subnormal b/T is infinite, which the instance rejects
+    inst = _budget_instance(len(xs), b, y_max=(1.0, 1.0))
     violated, collected, rewards = _settle_and_step(inst, seed, xs, min(cut, len(xs)))
     assert np.all(violated[1:] >= violated[:-1])
     assert np.all(collected == np.where(violated, 0.0, rewards))
+
+
+def test_instance_rejects_a_non_finite_or_negative_y_max():
+    # b/T subnormal: the default bound r_max / (b/T) overflows to inf
+    with pytest.raises(ValueError, match="y_max"):
+        _budget_instance(10, (1e-310, 1.0))
+    for y_max in ((np.inf, 1.0), (np.nan, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="y_max"):
+            _budget_instance(10, (1.0, 1.0), y_max=y_max)
+    assert np.all(np.isfinite(_budget_instance(10, (1e-300, 0.0)).y_max))
 
 
 def test_settle_last_round_crossing_by_a_small_margin():
@@ -699,13 +712,10 @@ def test_ocowk_run_matches_a_hand_loop_over_steps(name, budgets, emit_series):
         x_t, y_t = agent.current_action
         out = env.step(x_t)
         L = inst.lagrangian(out.reward_fn, out.consumption_fns)
-        raw_sum.add(out.reward_fn, out.consumption_fns)
+        raw_sum.add(L)
         acc_x.add(L.restrict_x(y_t))
         acc_y.add(L.restrict_y(x_t))
-        if name == "pd_rftl":
-            agent.step(L)
-        else:
-            agent.step(out.reward_fn, out.consumption_fns)
+        agent.step(L)
         st = env.state
         row = (x_t, y_t, L.value(x_t, y_t), agent.last_gap, out.reward_value, out.reward_collected,
                out.consumption, st.violated)

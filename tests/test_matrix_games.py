@@ -51,7 +51,7 @@ def test_omg_defaults_and_clamp():
 def test_omg_matching_pennies_stays_uniform():
     algo = OMGRFTL(2, 2, OMGConfig(eta=1.0, theta=0.1))
     for _ in range(12):
-        x, y = algo.step(MP)
+        x, y = algo.step(make_bilinear(MP))
         assert np.abs(x - 0.5).max() < 1e-8
         assert np.abs(y - 0.5).max() < 1e-8
 
@@ -59,7 +59,7 @@ def test_omg_matching_pennies_stays_uniform():
 def test_omg_step_matches_entropic_grid_oracle():
     A = np.array([[1.0, -1.0], [-1.0, 0.5]])
     algo = OMGRFTL(2, 2, OMGConfig(eta=1.0, theta=0.1, solver=SolverConfig(tol_gap=1e-10)))
-    x, y = algo.step(A)
+    x, y = algo.step(make_bilinear(A))
     _, a_star, b_star = grid_entropic_game_2x2(A, 1.0, 1.0, 0.1, 1e-3)
     assert abs(x[0] - a_star) < 5e-3
     assert abs(y[0] - b_star) < 5e-3
@@ -68,7 +68,7 @@ def test_omg_step_matches_entropic_grid_oracle():
 def test_omg_rejects_out_of_range_entries():
     algo = OMGRFTL(2, 2, OMGConfig(eta=1.0, theta=0.1))
     with pytest.raises(ValueError):
-        algo.step(np.array([[2.0, 0.0], [0.0, 0.0]]))
+        algo.step(make_bilinear(np.array([[2.0, 0.0], [0.0, 0.0]])))
 
 
 def test_one_point_estimate_examples():

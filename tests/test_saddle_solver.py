@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from osp_lab.geometry import Box, RestrictedSimplex, Simplex, interval
-from osp_lab.knapsack import KnapsackAggregate, QuadraticFn
+from osp_lab.knapsack import KnapsackAggregate, KnapsackLagrangian, QuadraticFn
 from osp_lab.matrix_games import EntropyRegularizer
 from osp_lab.oracles import grid_matrix_game_2x2, grid_saddle_1d, random_feasible_point
 from osp_lab.payoffs import (
@@ -266,12 +266,14 @@ def _certified_case(draw):
     if family == "knapsack":
         m = draw(st.integers(1, 3))
         H = draw(st.sampled_from((0.0, 0.5)))
-        agg = KnapsackAggregate(m, np.array([coef(0, 2) for _ in range(m)]), H)
+        b_over_T = np.array([coef(0, 2) for _ in range(m)])
+        agg = KnapsackAggregate(m, b_over_T, H)
         for _ in range(draw(st.integers(1, 3))):
-            agg.add(
+            agg.add(KnapsackLagrangian(
                 QuadraticFn(-coef(0, 2), coef(0, 2), 0.0),
                 [QuadraticFn(coef(0, 2), coef(0, 2), coef(0, 1)) for _ in range(m)],
-            )
+                b_over_T,
+            ))
         X = Box(np.array([0.0]), np.array([coef(0, 2)]))
         Y = Box(np.zeros(m), np.array([coef(0, 2) for _ in range(m)]))
         return agg, X, Y
