@@ -1,50 +1,66 @@
 """Approximate and exact saddle-point solvers.
 
 The per-round subproblems of follow-the-leader style algorithms are
-min-max problems over products of compact convex sets.  The default method
-is extragradient with a fixed step 1/(2*L), where L is a deterministic
-power-iteration estimate of the gradient-map Lipschitz constant.  Sums that
-are bilinear-plus-entropy over simplexes instead run entropic mirror-prox
-(Nemirovski 2004) with step 1/(2*max|S_ij|) and four exact KL prox steps
-per iteration, two from each player's current iterate.  A prox step is the
-water-filling of exponential weights normalized to max 1
-(``payoffs.waterfill``, which also serves the certificates' entropic inner
-maximizations): the entropy payoff term scales the logits, and the
-coordinate floor pins the coordinates whose share would fall below it.
-Because the weights have max 1, the free mass never underflows, and for a
-floor theta <= 1/d the heaviest coordinate is never pinned.  When no floor
-binds, as for the tiny floors of OMG-RFTL, the water-fill is one pass.  At
-d = 2 the prox step keeps its own closed form.  Strongly convex-concave
-sums return the last iterate, merely convex-concave sums the ergodic
-average.
-
-Every returned solution carries a duality gap certified by two exact
-one-sided inner optimizations: every payoff the solver accepts restricts in
-closed form to a separable quadratic or a linear-plus-entropy form (see
-``payoffs``), and ``gap_estimate`` refuses any other with a ``TypeError``.
-``solve_saddle`` folds a single scalar quadratic, bilinear or regularized
-payoff into a one-term `SumPayoff`; any other payoff, such as the knapsack
-Lagrangian and its running aggregate, answers the structure hints of
-`PayoffFunction` and gives its restrictions itself.
+min-max problems over products of compact convex sets.  Every returned
+solution carries a duality gap certified by two exact one-sided inner
+optimizations: every payoff the solver accepts restricts in closed form to
+a separable quadratic or a linear-plus-entropy form (see ``payoffs``), and
+``gap_estimate`` refuses any other with a ``TypeError``.  ``solve_saddle``
+folds a single scalar quadratic, bilinear or regularized payoff into a
+one-term `SumPayoff`; any other payoff, such as the knapsack Lagrangian and
+its running aggregate, answers the structure hints of `PayoffFunction` and
+gives its restrictions itself.
 
 ``solve_saddle`` tries its paths in a fixed order and returns from the
-first one that produces a certified pair; only the last iterative path
-returns a best-effort pair, flagged by its spent iteration budget:
+first one that produces a pair certified to ``tol_gap``; only the two
+iterative fallbacks at the end return a best-effort pair, flagged by their
+spent iteration budget.  Each solution names its path in ``path``:
 
-1. closed forms: 2x2 matrix games, interior scalar quadratics, and the
-   exact envelope minimizer of a payoff that provides ``envelope_argmin``
-   (the knapsack aggregate);
-2. warm-start acceptance: an already-converged warm start;
-3. iterative paths: the golden-section envelope for 1-D x, then
-   mirror-prox or extragradient.
+1. ``closed_2x2``: 2x2 matrix games over two plain simplexes;
+   ``scalar_interior``: interior scalar quadratics; ``envelope``: the exact
+   envelope minimizer of a payoff that provides ``envelope_argmin`` (the
+   knapsack aggregate);
+2. ``warm_accept``: an already-converged warm start;
+3. ``golden``: golden-section search on the envelope for 1-D x;
+4. ``newton``: equality-constrained Newton on the entropy-smoothed envelope
+   of a bilinear-plus-entropy sum over simplexes with both entropy weights
+   positive and d >= 3 (``_entropic_newton_path``);
+5. ``lp``: the simplex method on a pure bilinear sum over two
+   simplex-family sets (``solve_matrix_game_lp``);
+6. ``mirror_prox``: entropic mirror-prox (Nemirovski 2004) for
+   bilinear-plus-entropy sums over simplexes, with step 1/(2*max|S_ij|) and
+   four exact KL prox steps per iteration, two from each player's current
+   iterate;
+7. ``extragradient``: every other sum, with a fixed step 1/(2*L), where L
+   is a deterministic power-iteration estimate of the gradient-map
+   Lipschitz constant.
 
-Solutions from every path but mirror-prox and extragradient report 0
-iterations.
+Newton and the LP are exact up to rounding, so their gaps sit near 1e-13;
+a pair they cannot certify (a binding x floor for Newton, the pivot cap for
+the LP) falls through to the iterative paths.  At d = 2 the entropic sums
+stay on mirror-prox: there the generic Newton costs more per round than the
+few mirror-prox iterations it saves, so d = 2 waits for a scalar Newton on
+the one free coordinate.
+
+A mirror-prox prox step is the water-filling of exponential weights
+normalized to max 1 (``payoffs.waterfill``, which also serves the
+certificates' entropic inner maximizations): the entropy payoff term scales
+the logits, and the coordinate floor pins the coordinates whose share would
+fall below it.  Because the weights have max 1, the free mass never
+underflows, and for a floor theta <= 1/d the heaviest coordinate is never
+pinned.  When no floor binds, as for the tiny floors of OMG-RFTL, the
+water-fill is one pass.  At d = 2 the prox step keeps its own closed form.
+Strongly convex-concave sums return the last iterate, merely
+convex-concave sums the ergodic average.
+
+``iterations`` counts Newton steps, simplex pivots, or mirror-prox and
+extragradient iterations; the closed forms, the warm start and the
+golden-section path report 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +73,8 @@ from .payoffs import (
     ScalarQuadraticBilinear,
     SeparableQuadratic,
     SumPayoff,
+    entropy_tilted_argopt,
+    negentropy,
     waterfill,
 )
 
@@ -85,6 +103,7 @@ class SaddleSolution:
     value: float
     gap: float
     iterations: int
+    path: str = ""
 
     def budget_exhausted(self, cfg: SolverConfig) -> bool:
         return self.iterations >= cfg.max_iters and self.gap > cfg.tol_gap
@@ -157,7 +176,7 @@ def solve_matrix_game_2x2(A: np.ndarray) -> SaddleSolution:
         raise ValueError("expected a 2x2 matrix")
     if np.ptp(A) == 0.0:
         u = np.array([0.5, 0.5])
-        return SaddleSolution(u, u.copy(), float(A[0, 0]), 0.0, 0)
+        return SaddleSolution(u, u.copy(), float(A[0, 0]), 0.0, 0, "closed_2x2")
     for i in range(2):
         for j in range(2):
             if A[i, j] >= A[i, 1 - j] and A[i, j] <= A[1 - i, j]:
@@ -165,13 +184,100 @@ def solve_matrix_game_2x2(A: np.ndarray) -> SaddleSolution:
                 y = np.zeros(2)
                 x[i] = 1.0
                 y[j] = 1.0
-                return SaddleSolution(x, y, float(A[i, j]), 0.0, 0)
+                return SaddleSolution(x, y, float(A[i, j]), 0.0, 0, "closed_2x2")
     denom = (A[0, 0] - A[0, 1]) + (A[1, 1] - A[1, 0])
     x1 = (A[1, 1] - A[1, 0]) / denom
     y1 = (A[1, 1] - A[0, 1]) / denom
     x = np.array([x1, 1.0 - x1])
     y = np.array([y1, 1.0 - y1])
-    return SaddleSolution(x, y, float(x @ A @ y), 0.0, 0)
+    return SaddleSolution(x, y, float(x @ A @ y), 0.0, 0, "closed_2x2")
+
+
+# ---------------------------------------------------------------------------
+# Matrix games over simplexes: the simplex method
+# ---------------------------------------------------------------------------
+
+LP_PIVOTS_PER_DIM = 50
+_LP_EPS = 1e-12  # reduced costs and ratio ties
+_LP_PIVOT_TOL = 1e-9  # smallest pivot element; smaller ones are rounded zeros
+
+
+def _simplex_embedding(dset) -> tuple[float, float]:
+    """(theta, scale) of x = theta*1 + scale*w, the exact image of the
+    standard simplex w on a simplex-family set: x = E w with
+    E = theta*11^T + scale*I."""
+    theta = _simplex_floor(dset)
+    return theta, 1.0 - dset.dimension * theta
+
+
+def solve_matrix_game_lp(A: np.ndarray, X: FeasibleSet, Y: FeasibleSet) -> SaddleSolution | None:
+    """min_x max_y x^T A y over two (floored) simplexes by the simplex method
+    (Dantzig 1951); None when the pivot cap is reached.
+
+    A floored simplex is the image x = E_x w of the standard one, so the
+    game on A is the standard game on E_x^T A E_y, solved and mapped back.
+    That matrix, rescaled to entries in [1, 2], gives the LP
+    max 1^T u s.t. B^T u <= 1, u >= 0, whose optimum is u = w / v for the
+    minimizer's strategy w and the game value v; the dual prices of the d2
+    constraints, the reduced costs of their slack columns, are the
+    maximizer's strategy up to the same factor.  The dense tableau pivots by
+    Bland's rule (smallest eligible index, both for the entering column and
+    among ratio-test ties), which cannot cycle.  Ties are taken with a
+    relative tolerance and the right-hand side is clamped at 0 after each
+    pivot, so a degenerate pivot that rounds a zero to -eps cannot pick a
+    wrong row later; column entries below _LP_PIVOT_TOL are rounded zeros
+    and never pivot.  The pivot count, capped at LP_PIVOTS_PER_DIM*(d1+d2),
+    is reported as iterations and the gap is the exact matrix-game
+    certificate max_j (x^T A)_j - min_i (A y)_i on the sets.
+    """
+    A = np.asarray(A, dtype=float)
+    theta_x, sx = _simplex_embedding(X)
+    theta_y, sy = _simplex_embedding(Y)
+    B = A
+    if theta_x > 0.0:
+        B = theta_x * B.sum(axis=0) + sx * B
+    if theta_y > 0.0:
+        B = theta_y * B.sum(axis=1)[:, None] + sy * B
+    lo, hi = float(B.min()), float(B.max())
+    B = (B - lo) / (hi - lo if hi > lo else 1.0) + 1.0
+    d1, d2 = B.shape
+    tab = np.zeros((d2 + 1, d1 + d2 + 1))
+    tab[:d2, :d1] = B.T
+    tab[:d2, d1:-1] = np.eye(d2)
+    tab[:d2, -1] = 1.0
+    tab[d2, :d1] = -1.0
+    rhs = tab[:d2, -1]
+    basis = np.arange(d1, d1 + d2)
+    pivots = 0
+    while True:
+        entering = np.flatnonzero(tab[d2, :-1] < -_LP_EPS)
+        if entering.size == 0:
+            break
+        if pivots >= LP_PIVOTS_PER_DIM * (d1 + d2):
+            return None
+        c = entering[0]
+        col = tab[:d2, c]
+        rows = np.flatnonzero(col > _LP_PIVOT_TOL)  # never empty: B > 0 bounds u
+        ratios = rhs[rows] / col[rows]
+        r_min = float(ratios.min())
+        tied = rows[ratios <= r_min + _LP_EPS * (1.0 + r_min)]
+        r = tied[np.argmin(basis[tied])]
+        tab[r] /= tab[r, c]
+        factors = tab[:, c].copy()
+        factors[r] = 0.0
+        tab -= np.outer(factors, tab[r])
+        np.maximum(rhs, 0.0, out=rhs)
+        basis[r] = c
+        pivots += 1
+    u = np.zeros(d1)
+    structural = basis < d1
+    u[basis[structural]] = rhs[structural]
+    q = np.maximum(tab[d2, d1:-1], 0.0)
+    x = theta_x + sx * (u / u.sum())
+    y = theta_y + sy * (q / q.sum())
+    upper, _ = Y.maximize_linear(A.T @ x)
+    lower, _ = X.minimize_linear(A @ y)
+    return SaddleSolution(x, y, float(x @ A @ y), max(upper - lower, 0.0), pivots, "lp")
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +353,7 @@ def _extragradient(f, X, Y, x, y, cfg: SolverConfig) -> SaddleSolution:
             else:
                 cx, cy = sum_x / navg, sum_y / navg
             g = gap_estimate(f, X, Y, cx, cy)
-            cand = SaddleSolution(cx.copy(), cy.copy(), f.value(cx, cy), g, it)
+            cand = SaddleSolution(cx.copy(), cy.copy(), f.value(cx, cy), g, it, "extragradient")
             if best is None or g < best.gap:
                 best = cand
             if g <= cfg.tol_gap:
@@ -255,7 +361,9 @@ def _extragradient(f, X, Y, x, y, cfg: SolverConfig) -> SaddleSolution:
             check_at = max(check_at * 2, it + 1)
     if best is None:
         cx, cy = (x, y) if strongly else (sum_x / max(navg, 1), sum_y / max(navg, 1))
-        best = SaddleSolution(cx.copy(), cy.copy(), f.value(cx, cy), gap_estimate(f, X, Y, cx, cy), it)
+        best = SaddleSolution(
+            cx.copy(), cy.copy(), f.value(cx, cy), gap_estimate(f, X, Y, cx, cy), it, "extragradient"
+        )
     best.iterations = cfg.max_iters
     return best
 
@@ -285,6 +393,101 @@ def _kl_prox(log_p, step_lin, a, theta):
 
 def _simplex_floor(dset) -> float:
     return dset.theta if isinstance(dset, RestrictedSimplex) else 0.0
+
+
+NEWTON_MAX_STEPS = 50
+
+
+def _newton_direction(S, bx, by, theta_y, x, y, grad):
+    """(dx, decrement) of the equality-constrained Newton step on the
+    entropic envelope at x, where y = y*(x); see ``_entropic_newton_path``."""
+    r = np.sqrt(x)
+    y_free = np.where(y > theta_y, y, 0.0)
+    Z = (r[:, None] * S) * np.sqrt(y_free)
+    v = r * (S @ y_free)
+    # a fully pinned y (a one-point Y) has v = 0 and no curvature term
+    H = (Z @ Z.T - np.outer(v, v) / max(float(y_free.sum()), 1e-300)) / by
+    H[np.diag_indices_from(H)] += bx
+    sol = np.linalg.solve(H, np.stack([r * grad, r], axis=1))
+    a, b = r * sol[:, 0], r * sol[:, 1]
+    dx = (a.sum() / b.sum()) * b - a
+    return dx, -float(grad @ dx)
+
+
+def _entropic_newton_path(f: SumPayoff, X, Y, x0, cfg: SolverConfig) -> SaddleSolution | None:
+    """Equality-constrained Newton (Boyd & Vandenberghe 2004, sec. 10.2) on
+    the convex envelope of an entropic-bilinear sum,
+
+        phi(x) = bx sum x ln x + max_y [x^T S y - by sum y ln y],
+
+    over the simplex, from x0.  The inner maximizer y*(x) is the water-fill
+    of softmax(S^T x / by), so phi is by*logsumexp(S^T x / by) plus the
+    x entropy where no floor binds (Nesterov's smoothing, Math. Program.
+    2005), with gradient bx(1 + ln x) + S y* and Hessian
+    bx diag(1/x) + (1/by) S (diag y* - y* y*^T) S^T.  A pinned y coordinate
+    does not move, so it leaves the Hessian term; the free ones share the
+    free mass m, giving diag(y_F) - y_F y_F^T / m.  The Newton system
+    H dx = -grad + nu 1, 1^T dx = 0 is one solve H [a b] = [grad 1], with
+    nu = sum a / sum b and dx = -(a - nu b); it is solved in the variables
+    x^-1/2 dx, where H becomes bx*I plus a PSD term.  The step stops short
+    of the boundary and backtracks (Armijo) on phi.
+
+    The loop stops on the Newton decrement and certifies (x, y*(x)).  The
+    entropy is not self-concordant, so near a vertex the decrement can
+    understate the distance to the minimizer; a pair that fails tol_gap
+    there keeps stepping and is certified after every further step.  None
+    when an x floor binds (the minimizer leaves the set), when the line
+    search stalls, or after NEWTON_MAX_STEPS steps.
+    """
+    bx, by = f.entropy_weight_x, f.entropy_weight_y
+    if bx <= 0.0 or by <= 0.0 or min(X.dimension, Y.dimension) < 3:
+        return None
+    S = f.matrix
+    theta_x, theta_y = _simplex_floor(X), _simplex_floor(Y)
+    stop = 1e-3 * cfg.tol_gap
+
+    def envelope(x):
+        y = entropy_tilted_argopt(S.T @ x, by, Y)
+        return bx * float(x @ np.log(x)) + float(x @ (S @ y)) - by * negentropy(y), y
+
+    x = np.maximum(x0, 1e-300)
+    x = x / x.sum()
+    phi, y = envelope(x)
+    steps = 0
+    certify_each_step = False
+    while True:
+        grad = bx * (1.0 + np.log(x)) + S @ y
+        # H >= bx diag(1/x) bounds the decrement by the x-weighted variance
+        # of grad over bx, which needs no solve
+        mean = float(x @ grad)
+        dx = None
+        converged = float(x @ (grad - mean) ** 2) <= stop * bx
+        if not converged:
+            dx, decrement = _newton_direction(S, bx, by, theta_y, x, y, grad)
+            converged = decrement <= stop
+        if converged or certify_each_step:
+            if x.min() < theta_x:
+                return None
+            g = gap_estimate(f, X, Y, x, y)
+            if g <= cfg.tol_gap:
+                return SaddleSolution(x, y, f.value(x, y), g, steps, "newton")
+            certify_each_step = True
+            if dx is None:
+                dx, decrement = _newton_direction(S, bx, by, theta_y, x, y, grad)
+        if steps >= NEWTON_MAX_STEPS:
+            return None
+        steps += 1
+        shrinking = dx < 0.0
+        t = min(1.0, 0.99 * float(np.min(-x[shrinking] / dx[shrinking]))) if shrinking.any() else 1.0
+        while True:
+            x_new = x + t * dx
+            phi_new, y_new = envelope(x_new)
+            if phi_new <= phi - 0.25 * t * decrement:
+                break
+            t *= 0.5
+            if t < 1e-10:
+                return None
+        x, phi, y = x_new, phi_new, y_new
 
 
 def _mirror_prox_entropic(f: SumPayoff, X, Y, x, y, cfg: SolverConfig) -> SaddleSolution:
@@ -331,14 +534,16 @@ def _mirror_prox_entropic(f: SumPayoff, X, Y, x, y, cfg: SolverConfig) -> Saddle
             else:
                 cx, cy = sum_x / navg, sum_y / navg
             g = gap_estimate(f, X, Y, cx, cy)
-            cand = SaddleSolution(cx.copy(), cy.copy(), f.value(cx, cy), g, it)
+            cand = SaddleSolution(cx.copy(), cy.copy(), f.value(cx, cy), g, it, "mirror_prox")
             if best is None or g < best.gap:
                 best = cand
             if g <= cfg.tol_gap:
                 return cand
             check_at = max(check_at * 2, it + 1)
     if best is None:
-        best = SaddleSolution(x.copy(), y.copy(), f.value(x, y), gap_estimate(f, X, Y, x, y), it)
+        best = SaddleSolution(
+            x.copy(), y.copy(), f.value(x, y), gap_estimate(f, X, Y, x, y), it, "mirror_prox"
+        )
     best.iterations = cfg.max_iters
     return best
 
@@ -373,7 +578,7 @@ def _scalar_interior_fast_path(f: SumPayoff, X, Y, cfg) -> SaddleSolution | None
     g = gap_estimate(f, X, Y, xs, ys)
     if g > cfg.tol_gap:
         return None
-    return SaddleSolution(xs, ys, f.value(xs, ys), g, 0)
+    return SaddleSolution(xs, ys, f.value(xs, ys), g, 0, "scalar_interior")
 
 
 def _exact_max_restriction(f, x, Y):
@@ -392,7 +597,7 @@ def _closed_form_envelope_path(f, X, Y, cfg) -> SaddleSolution | None:
     when the pair fails to certify."""
     if not hasattr(f, "envelope_argmin"):
         return None
-    return _certified_envelope_pair(f, X, Y, cfg, np.array([f.envelope_argmin(X, Y)]))
+    return _certified_envelope_pair(f, X, Y, cfg, np.array([f.envelope_argmin(X, Y)]), "envelope")
 
 
 def _scalar_envelope_path(f, X, Y, cfg) -> SaddleSolution | None:
@@ -427,10 +632,10 @@ def _scalar_envelope_path(f, X, Y, cfg) -> SaddleSolution | None:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = phi(d)
-    return _certified_envelope_pair(f, X, Y, cfg, np.array([0.5 * (a + b)]))
+    return _certified_envelope_pair(f, X, Y, cfg, np.array([0.5 * (a + b)]), "golden")
 
 
-def _certified_envelope_pair(f, X, Y, cfg, x_star) -> SaddleSolution | None:
+def _certified_envelope_pair(f, X, Y, cfg, x_star, path) -> SaddleSolution | None:
     """Pair the envelope minimizer x_star with the first candidate dual whose
     certified gap is within tolerance; None when no candidate certifies."""
     ry = _exact_max_restriction(f, x_star, Y)
@@ -440,7 +645,7 @@ def _certified_envelope_pair(f, X, Y, cfg, x_star) -> SaddleSolution | None:
     for y_cand in _stationary_y_candidates(f, X, Y, x_star, y_hat):
         g = gap_estimate(f, X, Y, x_star, y_cand)
         if g <= cfg.tol_gap:
-            return SaddleSolution(x_star.copy(), y_cand, f.value(x_star, y_cand), g, 0)
+            return SaddleSolution(x_star.copy(), y_cand, f.value(x_star, y_cand), g, 0, path)
     return None
 
 
@@ -486,12 +691,14 @@ def solve_saddle(
 ) -> SaddleSolution:
     """min_x max_y f over X x Y with a certified duality gap.
 
-    Strongly convex-concave f: last extragradient iterate, gap <= tol_gap
-    unless the iteration budget runs out (then the best measured candidate
-    is returned with iterations = max_iters).  Merely convex-concave f: the
-    ergodic average, best-effort gap.  Tie-breaking among non-unique saddles
-    is deterministic: fixed warm start, fixed probe sequence, fixed
-    averaging, so reruns reproduce bitwise.
+    Returns the first pair certified to tol_gap along the path order of the
+    module docstring; ``path`` names the path that produced it.  When both
+    exact and closed-form paths fail, the iterative fallback (mirror-prox or
+    extragradient) runs to tol_gap or to max_iters; a spent budget returns
+    the best measured candidate with iterations = max_iters, which
+    ``SaddleSolution.budget_exhausted`` reports.  Tie-breaking among
+    non-unique saddles is deterministic (fixed warm start, pivot rule, probe
+    sequence and averaging), so reruns reproduce bitwise.
     """
     cfg = cfg or SolverConfig()
     f = _as_sum(f)
@@ -526,17 +733,25 @@ def solve_saddle(
     if cfg.warm_start is not None:
         g0 = gap_estimate(f, X, Y, x0, y0)
         if g0 <= cfg.tol_gap:
-            return SaddleSolution(x0, y0, f.value(x0, y0), g0, 0)
+            return SaddleSolution(x0, y0, f.value(x0, y0), g0, 0, "warm_accept")
 
     envelope = _scalar_envelope_path(f, X, Y, cfg)
     if envelope is not None:
         return envelope
 
-    if (
-        f.is_entropic_bilinear()
-        and isinstance(X, (Simplex, RestrictedSimplex))
-        and isinstance(Y, (Simplex, RestrictedSimplex))
-    ):
+    simplexes = isinstance(X, (Simplex, RestrictedSimplex)) and isinstance(Y, (Simplex, RestrictedSimplex))
+    if simplexes and f.is_entropic_bilinear():
+        newton = _entropic_newton_path(f, X, Y, x0, cfg)
+        if newton is not None:
+            return newton
+    if simplexes and f.is_pure_bilinear():
+        lp = solve_matrix_game_lp(f.matrix, X, Y)
+        if lp is not None:
+            lp.gap = gap_estimate(f, X, Y, lp.x_star, lp.y_star)
+            if lp.gap <= cfg.tol_gap:
+                return lp
+
+    if simplexes and f.is_entropic_bilinear():
         x0 = np.maximum(x0, 1e-300)
         x0 = x0 / x0.sum()
         y0 = np.maximum(y0, 1e-300)
@@ -552,8 +767,16 @@ def hindsight_value(
     Y: FeasibleSet,
     cfg: SolverConfig | None = None,
 ) -> float:
-    """Value of min_x max_y of the summed history."""
+    """Value of min_x max_y of the summed history; raises RuntimeError when
+    the solve spends its budget without certifying the value to tol_gap."""
     total = assemble_sum(history)
     if total.count == 0:
         raise ValueError("hindsight_value needs a nonempty history")
-    return solve_saddle(total, X, Y, cfg).value
+    cfg = cfg or SolverConfig()
+    sol = solve_saddle(total, X, Y, cfg)
+    if sol.budget_exhausted(cfg):
+        raise RuntimeError(
+            f"hindsight value uncertified: gap {sol.gap:.3g} > tol_gap {cfg.tol_gap:g} "
+            f"after {sol.iterations} {sol.path} iterations"
+        )
+    return sol.value

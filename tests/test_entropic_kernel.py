@@ -260,6 +260,29 @@ def test_cold_started_bilinear_hindsight_matches_retired_kernel(monkeypatch):
     assert new.iterations > 0
 
 
+@pytest.mark.parametrize("d,theta", [(3, 1e-3), (8, 1e-14), (64, np.exp(-31.6))])
+def test_fallback_kernel_matches_retired_kernel(d, theta):
+    """From d = 3 on, solve_saddle answers these sums by envelope Newton and
+    pure bilinear sums by the LP, so the whole-solve comparisons above reach
+    mirror-prox only at d = 2 and where a floor binds; the fallback kernel
+    itself must still reproduce the retired one bit for bit."""
+    rng = np.random.default_rng(2000 + d)
+    X = Y = RestrictedSimplex(d, theta)
+    reg = EntropyRegularizer(d, theta)
+    entropic, bilinear = SumPayoff(), SumPayoff()
+    for _ in range(6):
+        A = rng.integers(0, 2, size=(d, d)) * 2.0 - 1.0
+        entropic.add(regularize(make_bilinear(A), reg, reg, 0.2))
+        bilinear.add(make_bilinear(A))
+    cfg = SolverConfig(tol_gap=1e-6, max_iters=256)
+    for f in (entropic, bilinear):
+        x0, y0 = rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d))
+        new = saddle_solver._mirror_prox_entropic(f, X, Y, x0.copy(), y0.copy(), cfg)
+        old = _reference_mirror_prox_entropic(f, X, Y, x0.copy(), y0.copy(), cfg)
+        _assert_same_solution(new, old)
+        assert new.iterations > 0
+
+
 # ---------------------------------------------------------------------------
 # Degenerate floors: theta at and just below 1/d
 # ---------------------------------------------------------------------------
