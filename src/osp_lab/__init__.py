@@ -6,7 +6,7 @@ and budget-constrained online convex optimization, together with the regret
 metrics and seeded experiment harness used to validate their guarantees.
 """
 
-from .geometry import Box, FeasibleSet, RestrictedSimplex, Simplex
+from .geometry import Box, FeasibleSet, Simplex
 from .knapsack import (
     KnapsackEnvironment,
     KnapsackInstance,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracles
-from .geometry import Box, RestrictedSimplex, Simplex
+from .geometry import Box, Simplex
 from .knapsack import benchmark_r_star, sec82_instance
 from .matrix_games import EntropyRegularizer
 from .metrics_harness import (
@@ -342,8 +342,8 @@ def _oracle_suite() -> list[tuple[str, bool, str]]:
         )
         sol = solve_saddle(
             payoff,
-            RestrictedSimplex(2, theta),
-            RestrictedSimplex(2, theta),
+            Simplex(2, theta),
+            Simplex(2, theta),
             SolverConfig(tol_gap=1e-9, max_iters=200_000),
         )
         worst_solver = max(worst_solver, abs(exact.value - sol.value))
@@ -391,8 +391,8 @@ def _oracle_suite() -> list[tuple[str, bool, str]]:
     for _ in range(50):
         d1, d2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         A = rng.uniform(-1.0, 1.0, size=(d1, d2))
-        x = RestrictedSimplex(d1, 0.05).embed(rng.dirichlet(np.ones(d1)))
-        y = RestrictedSimplex(d2, 0.05).embed(rng.dirichlet(np.ones(d2)))
+        x = Simplex(d1, 0.05).embed(rng.dirichlet(np.ones(d1)))
+        y = Simplex(d2, 0.05).embed(rng.dirichlet(np.ones(d2)))
         exp = oracles.enumerate_estimator_expectation(A, x, y)
         if float(np.abs(exp - A).max()) > 1e-12:
             ok, detail = False, "enumeration mismatch on an unmutated estimator"

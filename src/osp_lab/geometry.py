@@ -1,13 +1,14 @@
 """Convex compact feasible sets: membership, Euclidean projection, diameter.
 
-Three set kinds cover every domain used in the library: boxes (also the
-dual domain prod_i [0, y_max_i] of the knapsack Lagrangian), probability
-simplexes, and simplexes with a per-coordinate floor (all entries >= theta).
-Each optimizes a linear function in closed form, which the exact duality-gap
-certificates of the saddle solver build on.  Projection onto the floored
-simplex reuses the sorted-threshold simplex projection through the affine
-bijection w -> theta*1 + (1 - d*theta)*w; Euclidean projection commutes with
-that similarity, so one routine serves both sets.
+Two set kinds cover every domain used in the library: boxes (also the
+dual domain prod_i [0, y_max_i] of the knapsack Lagrangian) and probability
+simplexes with a per-coordinate floor theta (all entries >= theta), whose
+theta = 0 case is the plain simplex.  Each optimizes a linear function in
+closed form, which the exact duality-gap certificates of the saddle solver
+build on.  Projection onto a floored simplex reuses the sorted-threshold
+projection onto the standard simplex through the affine bijection
+w -> theta*1 + (1 - d*theta)*w; Euclidean projection commutes with that
+similarity, so one routine serves every floor.
 """
 
 from __future__ import annotations
@@ -113,71 +114,36 @@ class Box(FeasibleSet):
         return float(g @ arg), arg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Simplex(FeasibleSet):
-    """Probability simplex over d coordinates."""
+    """Probability simplex over d coordinates with floor theta on every
+    coordinate: {z in Delta : z_i >= theta}.
+
+    theta = 0 (the default) is the plain simplex.  Nonempty iff
+    0 <= theta <= 1/d; theta = 1/d degenerates to the single point
+    (1/d, ..., 1/d).  At theta = 0, projection and linear optimization skip
+    the identity embedding, so the plain simplex keeps its own arithmetic.
+    """
 
     d: int
+    theta: float = 0.0
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("Simplex dimension must be positive")
-        object.__setattr__(self, "dimension", self.d)
-
-    def contains(self, z, tol=DEFAULT_MEMBERSHIP_TOL):
-        z = self._check_dim(z)
-        return bool(np.all(z >= -tol) and abs(float(z.sum()) - 1.0) <= tol)
-
-    def project(self, z):
-        return project_simplex(self._check_dim(z))
-
-    def diameter(self):
-        # distance between two vertices; a 1-point simplex has diameter 0
-        return 0.0 if self.d == 1 else float(np.sqrt(2.0))
-
-    def uniform(self) -> np.ndarray:
-        return np.full(self.d, 1.0 / self.d)
-
-    def minimize_linear(self, g):
-        g = np.asarray(g, dtype=float)
-        i = int(np.argmin(g))
-        arg = np.zeros(self.d)
-        arg[i] = 1.0
-        return float(g[i]), arg
-
-
-@dataclass(frozen=True)
-class RestrictedSimplex(FeasibleSet):
-    """Simplex with floor theta on every coordinate: {z in Delta : z_i >= theta}.
-
-    Nonempty iff 0 <= theta <= 1/d; theta = 1/d degenerates to the single
-    point (1/d, ..., 1/d).
-    """
-
-    d: int
-    theta: float
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("RestrictedSimplex dimension must be positive")
         if not (0.0 <= self.theta <= 1.0 / self.d + 1e-15):
             raise ValueError("theta must lie in [0, 1/d]")
         object.__setattr__(self, "dimension", self.d)
+        # contraction factor of the affine embedding of the standard simplex
+        object.__setattr__(self, "scale", 1.0 - self.d * self.theta)
 
-    @property
-    def scale(self) -> float:
-        """Contraction factor of the affine embedding of the standard simplex."""
-        return 1.0 - self.d * self.theta
+    def __repr__(self):
+        floor = f", theta={self.theta!r}" if self.theta else ""
+        return f"Simplex(d={self.d}{floor})"
 
     def embed(self, w: np.ndarray) -> np.ndarray:
         """Map the standard simplex onto this set: w -> theta*1 + scale*w."""
         return self.theta + self.scale * np.asarray(w, dtype=float)
-
-    def unembed(self, z: np.ndarray) -> np.ndarray:
-        s = self.scale
-        if s <= 0.0:
-            return np.full(self.d, 1.0 / self.d)
-        return (np.asarray(z, dtype=float) - self.theta) / s
 
     def contains(self, z, tol=DEFAULT_MEMBERSHIP_TOL):
         z = self._check_dim(z)
@@ -185,12 +151,15 @@ class RestrictedSimplex(FeasibleSet):
 
     def project(self, z):
         z = self._check_dim(z)
+        if self.theta == 0.0:
+            return project_simplex(z)
         s = self.scale
         if s <= 1e-15:
             return np.full(self.d, 1.0 / self.d)
         return self.embed(project_simplex((z - self.theta) / s))
 
     def diameter(self):
+        # distance between two vertices; a 1-point simplex has diameter 0
         return 0.0 if self.d == 1 else float(np.sqrt(2.0) * self.scale)
 
     def uniform(self) -> np.ndarray:
@@ -204,6 +173,10 @@ class RestrictedSimplex(FeasibleSet):
         # floor mass theta everywhere, free mass scale on the best coordinate
         g = np.asarray(g, dtype=float)
         i = int(np.argmin(g))
+        if self.theta == 0.0:
+            arg = np.zeros(self.d)
+            arg[i] = 1.0
+            return float(g[i]), arg
         arg = np.full(self.d, self.theta)
         arg[i] += self.scale
         return float(g @ arg), arg

@@ -653,7 +653,8 @@ def benchmark_r_star(
     the expected Lagrangian saddle over X x prod [0, y_max_i].
 
     The null action gives Slater's condition; y_max bounds the optimal duals,
-    so the boxed saddle value equals the constrained optimum.
+    so the boxed saddle value equals the constrained optimum.  Raises
+    RuntimeError when the saddle solve cannot certify its value.
     """
     if expectation_oracle is None:
         e_r, e_c = instance.sampler.expectation()
@@ -661,8 +662,7 @@ def benchmark_r_star(
         e_r, e_c = expectation_oracle
     payoff = instance.lagrangian(e_r, e_c)
     cfg = cfg or SolverConfig(tol_gap=1e-10, max_iters=200_000)
-    sol = solve_saddle(payoff, instance.X, instance.dual_set(), cfg)
-    return -instance.T * sol.value
+    return -instance.T * solve_saddle(payoff, instance.X, instance.dual_set(), cfg).certified_value(cfg)
 
 
 def knapsack_regret(reward: float, r_star: float) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import RestrictedSimplex
+from .geometry import Simplex
 from .osp_algorithms import SPRFTL, SPRFTLConfig
 from .payoffs import BilinearPayoff, Regularizer, negentropy
 from .saddle_solver import SolverConfig
@@ -95,8 +95,8 @@ class OMGRFTL(SPRFTL):
     def __init__(self, d1: int, d2: int, config: OMGConfig):
         theta = config.theta
         super().__init__(
-            RestrictedSimplex(d1, theta),
-            RestrictedSimplex(d2, theta),
+            Simplex(d1, theta),
+            Simplex(d2, theta),
             SPRFTLConfig(config.eta, EntropyRegularizer(d1, theta), EntropyRegularizer(d2, theta), config.solver),
         )
 

@@ -3,12 +3,15 @@
 Metrics follow the three regret notions: the absolute gap between realized
 cumulative payoff and the hindsight min-max value, and the two one-sided
 individual regrets against the best fixed action versus the opponent's
-realized sequence.  Saddle-point and matrix-game sequences are generated
-lazily from seeds and folded into coefficient accumulators round by round,
-so horizons of 10^4+ never materialize payoff lists.  A knapsack run draws
-its whole stream up front; its loop only plays, and the budget settlement,
-the trace, the accumulators and the series are computed after it in one
-pass over arrays of fixed width per round.
+realized sequence.  The runner has two run loops.  The game loop serves
+every saddle-point and matrix-game run, with full or bandit feedback: the
+payoff sequence is generated lazily from seeds, and each round is folded
+into coefficient accumulators as it is played, so horizons of 10^4+ never
+materialize payoff lists.  The knapsack loop settles after play: a knapsack
+run draws its whole stream up front, its loop only plays, and the budget
+settlement, the trace, the accumulators and the series are computed after
+it in one pass over arrays of fixed width per round.  Every hindsight value
+the runner reports is certified to its tolerance, or the run raises.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from .osp_algorithms import (
     corollary1_eta,
 )
 from .payoffs import (
-    BilinearPayoff,
     SeparableQuadratic,
     SquaredNormRegularizer,
     SumPayoff,
@@ -59,7 +61,7 @@ from .payoffs import (
     make_quadratic_bilinear,
     make_scalar_convex_concave,
 )
-from .saddle_solver import SolverConfig, assemble_sum, solve_saddle
+from .saddle_solver import SolverConfig, hindsight_value, solve_saddle
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +139,9 @@ def compute_sp_regret(
     Y: FeasibleSet,
     cfg: SolverConfig | None = None,
 ) -> float:
-    """|sum of realized payoffs - min_x max_y of the summed history|."""
-    total = assemble_sum(history)
-    hv = solve_saddle(total, X, Y, cfg).value
-    return abs(float(trace.payoff_values.sum()) - hv)
+    """|sum of realized payoffs - min_x max_y of the summed history|; raises
+    RuntimeError when the hindsight value cannot be certified."""
+    return abs(float(trace.payoff_values.sum()) - hindsight_value(history, X, Y, cfg))
 
 
 def compute_individual_regrets(
@@ -598,27 +599,41 @@ def _series_store(emit: bool):
     } if emit else None
 
 
-def _run_osp_like(scenario: Scenario, name: str, resolved: dict, seed: int, emit_series: bool) -> RunResult:
+def _run_game(scenario: Scenario, name: str, resolved: dict, seed: int, emit_series: bool) -> RunResult:
+    """Play the T rounds and fold each into the running sums as it is played.
+
+    Each round's payoff is charged at the played pair: the algorithm's
+    action, or for the bandit the sampled pure pair (e_i, e_j), whose value
+    and restrictions are A[i, j], A[:, j] and A[i, :] exactly (products with
+    0 and 1).  The bandit's algorithm sees only that entry.
+    """
     start = time.perf_counter()
     algo = _build_algorithm(scenario, name, resolved, seed)
     X, Y = scenario.X, scenario.Y
+    bandit = name == "bandit_omg_rftl"
+    if bandit:
+        vertices_x, vertices_y = np.eye(X.dimension), np.eye(Y.dimension)
     msum = SumPayoff()
     acc_x = RestrictionAccumulator()
     acc_y = RestrictionAccumulator()
-    xs, ys, vals, gaps = [], [], [], []
+    xs, ys, vals, gaps, sampled = [], [], [], [], []
     series = _series_store(emit_series)
     hind_track = None
     for payoff in scenario.payoffs(seed):
         x, y = algo.current_action
-        v = payoff.value(x, y)
         xs.append(x)
         ys.append(y)
-        vals.append(v)
+        if bandit:
+            i, j, est = algo.step(lambda ii, jj: payoff.A[ii, jj])
+            sampled.append((i, j, est.observed_entry))
+            x, y = vertices_x[i], vertices_y[j]
+        else:
+            algo.step(payoff)
+        gaps.append(algo.last_gap)
+        vals.append(payoff.value(x, y))
         msum.add(payoff)
         acc_x.add(payoff.restrict_x(y))
         acc_y.add(payoff.restrict_y(x))
-        algo.step(payoff)
-        gaps.append(algo.last_gap)
         if series is not None:
             cfg = SolverConfig(
                 tol_gap=float(resolved["tol_gap"][0]),
@@ -630,11 +645,12 @@ def _run_osp_like(scenario: Scenario, name: str, resolved: dict, seed: int, emit
             cum = float(np.sum(vals))
             series["t"].append(len(vals))
             series["cum_payoff"].append(cum)
-            series["cum_sp_regret"].append(abs(cum - sol.value))
+            series["cum_sp_regret"].append(abs(cum - sol.certified_value(cfg)))
             series["cum_ind_x"].append(cum - acc_x.minimize(X))
             series["cum_ind_y"].append(acc_y.maximize(Y) - cum)
     warm = algo.current_action
-    hv = solve_saddle(msum, X, Y, _hindsight_cfg(resolved, warm)).value
+    cfg = _hindsight_cfg(resolved, warm)
+    hv = solve_saddle(msum, X, Y, cfg).certified_value(cfg)
     realized = float(np.sum(vals))
     report = RegretReport(
         sp_regret=abs(realized - hv),
@@ -642,6 +658,7 @@ def _run_osp_like(scenario: Scenario, name: str, resolved: dict, seed: int, emit
         ind_regret_y=acc_y.maximize(Y) - realized,
         hindsight_value=hv,
         per_round_series={k: np.asarray(v) for k, v in series.items()} if series else None,
+        extras={"delta": float(resolved["delta"][0])} if bandit else {},
     )
     trace = RoundTrace(
         xs=np.asarray(xs),
@@ -651,61 +668,8 @@ def _run_osp_like(scenario: Scenario, name: str, resolved: dict, seed: int, emit
         final_x=warm[0].copy(),
         final_y=warm[1].copy(),
     )
-    wall = (time.perf_counter() - start) * 1e3
-    return RunResult(seed, trace, report, wall, algo.budget_exceeded_rounds)
-
-
-def _run_bandit(scenario: Scenario, resolved: dict, seed: int, emit_series: bool) -> RunResult:
-    start = time.perf_counter()
-    algo = _build_algorithm(scenario, "bandit_omg_rftl", resolved, seed)
-    d1 = scenario.metadata["d1"]
-    d2 = scenario.metadata["d2"]
-    X_full, Y_full = Simplex(d1), Simplex(d2)
-    msum = SumPayoff()
-    acc_x = RestrictionAccumulator()
-    acc_y = RestrictionAccumulator()
-    xs, ys, vals, gaps, iis, jjs, obs = [], [], [], [], [], [], []
-    series = _series_store(emit_series)
-    for A in scenario.matrices(seed):
-        x_t, y_t = algo.current_action
-        i, j, est = algo.step(lambda ii, jj: A[ii, jj])
-        xs.append(x_t)
-        ys.append(y_t)
-        iis.append(i)
-        jjs.append(j)
-        obs.append(est.observed_entry)
-        vals.append(float(A[i, j]))
-        gaps.append(algo.last_gap)
-        msum.add(BilinearPayoff(A))
-        acc_x.add(SeparableQuadratic(np.zeros(d1), A[:, j].copy(), 0.0))
-        acc_y.add(SeparableQuadratic(np.zeros(d2), A[i, :].copy(), 0.0))
-        if series is not None:
-            cum = float(np.sum(vals))
-            sol = solve_saddle(msum, X_full, Y_full, _solver_config(resolved))
-            series["t"].append(len(vals))
-            series["cum_payoff"].append(cum)
-            series["cum_sp_regret"].append(abs(cum - sol.value))
-            series["cum_ind_x"].append(cum - acc_x.minimize(X_full))
-            series["cum_ind_y"].append(acc_y.maximize(Y_full) - cum)
-    hv = solve_saddle(msum, X_full, Y_full, _hindsight_cfg(resolved, None)).value
-    realized = float(np.sum(vals))
-    report = RegretReport(
-        sp_regret=abs(realized - hv),
-        ind_regret_x=realized - acc_x.minimize(X_full),
-        ind_regret_y=acc_y.maximize(Y_full) - realized,
-        hindsight_value=hv,
-        per_round_series={k: np.asarray(v) for k, v in series.items()} if series else None,
-        extras={"delta": float(resolved["delta"][0])},
-    )
-    trace = RoundTrace(
-        xs=np.asarray(xs),
-        ys=np.asarray(ys),
-        payoff_values=np.asarray(vals),
-        solver_gaps=np.asarray(gaps),
-        sampled_i=np.asarray(iis),
-        sampled_j=np.asarray(jjs),
-        observed_entries=np.asarray(obs),
-    )
+    if bandit:
+        trace.sampled_i, trace.sampled_j, trace.observed_entries = (np.asarray(v) for v in zip(*sampled))
     wall = (time.perf_counter() - start) * 1e3
     return RunResult(seed, trace, report, wall, algo.budget_exceeded_rounds)
 
@@ -772,7 +736,7 @@ def _run_ocowk(scenario: Scenario, name: str, resolved: dict, seed: int, emit_se
     if emit_series:
         cums = np.array([vals[: t + 1].sum() for t in range(inst.T)])
         cfg = _solver_config(resolved)
-        hvs = np.array([solve_saddle(hindsight_sum(t), X, Y, cfg).value for t in range(inst.T)])
+        hvs = np.array([solve_saddle(hindsight_sum(t), X, Y, cfg).certified_value(cfg) for t in range(inst.T)])
         series = {
             "t": np.arange(1, inst.T + 1),
             "cum_payoff": cums,
@@ -786,7 +750,8 @@ def _run_ocowk(scenario: Scenario, name: str, resolved: dict, seed: int, emit_se
             series[f"budget_frac_{i + 1}"] = out.cumulative_consumption[:, i] / inst.b[i]
     last = inst.T - 1
     realized = float(np.sum(vals))
-    hv = solve_saddle(hindsight_sum(last), X, Y, _hindsight_cfg(resolved, algo.current_action)).value
+    cfg = _hindsight_cfg(resolved, algo.current_action)
+    hv = solve_saddle(hindsight_sum(last), X, Y, cfg).certified_value(cfg)
     r_star = float(resolved["r_star"][0])
     dagger = float(restriction_y(last).maximize_over(Y)[0]) - realized
     ddagger = realized + r_star  # realized Lagrangian sum minus (-r*)
@@ -834,9 +799,7 @@ def run_single(
         resolved = resolve_parameters(scenario, algo)
     if scenario.kind == "ocowk":
         return _run_ocowk(scenario, algo.name, resolved, seed, emit_series)
-    if algo.name == "bandit_omg_rftl":
-        return _run_bandit(scenario, resolved, seed, emit_series)
-    return _run_osp_like(scenario, algo.name, resolved, seed, emit_series)
+    return _run_game(scenario, algo.name, resolved, seed, emit_series)
 
 
 # ---------------------------------------------------------------------------

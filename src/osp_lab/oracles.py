@@ -218,15 +218,12 @@ def grid_knapsack_benchmark(
 def random_feasible_point(dset, rng: np.random.Generator) -> np.ndarray:
     """Uniform-ish sample used by property checks; exactness is irrelevant,
     feasibility is."""
-    from .geometry import Box, RestrictedSimplex, Simplex
+    from .geometry import Box, Simplex
 
     if isinstance(dset, Box):
         return rng.uniform(dset.lower, dset.upper)
-    if isinstance(dset, RestrictedSimplex):
-        w = rng.dirichlet(np.ones(dset.d))
-        return dset.embed(w)
     if isinstance(dset, Simplex):
-        return rng.dirichlet(np.ones(dset.d))
+        return dset.embed(rng.dirichlet(np.ones(dset.d)))
     raise TypeError(type(dset))
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box, FeasibleSet, RestrictedSimplex, Simplex
+from .geometry import Box, FeasibleSet, Simplex
 
 
 def negentropy(z: np.ndarray) -> float:
@@ -68,13 +68,11 @@ class SeparableQuadratic:
             if np.any(zero):
                 arg = np.where(zero, np.where(self.lin >= 0, lo, hi), arg)
             return self.value(arg), arg
-        if isinstance(dset, (Simplex, RestrictedSimplex)) and np.all(
-            np.isclose(self.quad, self.quad[0])
-        ):
-            c = float(self.quad[0])
-            if c > 0:
-                arg = dset.project(-self.lin / (2.0 * c))
-                return self.value(arg), arg
+        # exact isotropy: projecting with quad[0] minimizes the sum exactly
+        # only when every coordinate has that weight
+        if isinstance(dset, Simplex) and np.all(self.quad == self.quad[0]):
+            arg = dset.project(-self.lin / (2.0 * float(self.quad[0])))
+            return self.value(arg), arg
         raise TypeError("no closed-form minimizer of a non-isotropic quadratic on a simplex")
 
     def maximize_over(self, dset: FeasibleSet) -> tuple[float, np.ndarray]:
@@ -121,17 +119,13 @@ def entropy_tilted_argopt(g: np.ndarray, beta: float, dset: FeasibleSet) -> np.n
     is the water-filling of the exponential weights exp((g - max g) / beta)
     (``waterfill``), for every d including d = 2.
     """
-    if isinstance(dset, Simplex):
-        theta = 0.0
-    elif isinstance(dset, RestrictedSimplex):
-        theta = dset.theta
-    else:
-        raise TypeError("entropy-tilted optimization needs a simplex-family set")
+    if not isinstance(dset, Simplex):
+        raise TypeError("entropy-tilted optimization needs a simplex")
     g = np.asarray(g, dtype=float)
     if beta <= 0.0:
         _, arg = dset.maximize_linear(g)
         return arg
-    return waterfill(np.exp((g - g.max()) / beta), theta)
+    return waterfill(np.exp((g - g.max()) / beta), dset.theta)
 
 
 def waterfill(b: np.ndarray, theta: float) -> np.ndarray:

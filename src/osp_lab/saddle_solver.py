@@ -16,7 +16,7 @@ first one that produces a pair certified to ``tol_gap``; only the two
 iterative fallbacks at the end return a best-effort pair, flagged by their
 spent iteration budget.  Each solution names its path in ``path``:
 
-1. ``closed_2x2``: 2x2 matrix games over two plain simplexes;
+1. ``closed_2x2``: 2x2 matrix games over two plain simplexes (theta = 0);
    ``scalar_interior``: interior scalar quadratics; ``envelope``: the exact
    envelope minimizer of a payoff that provides ``envelope_argmin`` (the
    knapsack aggregate);
@@ -26,7 +26,7 @@ spent iteration budget.  Each solution names its path in ``path``:
    of a bilinear-plus-entropy sum over simplexes with both entropy weights
    positive and d >= 3 (``_entropic_newton_path``);
 5. ``lp``: the simplex method on a pure bilinear sum over two
-   simplex-family sets (``solve_matrix_game_lp``);
+   simplexes, floored or not (``solve_matrix_game_lp``);
 6. ``mirror_prox``: entropic mirror-prox (Nemirovski 2004) for
    bilinear-plus-entropy sums over simplexes, with step 1/(2*max|S_ij|) and
    four exact KL prox steps per iteration, two from each player's current
@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, FeasibleSet, RestrictedSimplex, Simplex
+from .geometry import Box, FeasibleSet, Simplex
 from .payoffs import (
     BilinearPayoff,
     LinearPlusEntropy,
@@ -107,6 +107,16 @@ class SaddleSolution:
 
     def budget_exhausted(self, cfg: SolverConfig) -> bool:
         return self.iterations >= cfg.max_iters and self.gap > cfg.tol_gap
+
+    def certified_value(self, cfg: SolverConfig) -> float:
+        """The value of a solve made with cfg; raises RuntimeError when the
+        solve spent its budget without certifying it to tol_gap."""
+        if self.budget_exhausted(cfg):
+            raise RuntimeError(
+                f"value uncertified: gap {self.gap:.3g} > tol_gap {cfg.tol_gap:g} "
+                f"after {self.iterations} {self.path} iterations"
+            )
+        return self.value
 
 
 def _as_sum(f: PayoffFunction) -> PayoffFunction:
@@ -202,20 +212,13 @@ _LP_EPS = 1e-12  # reduced costs and ratio ties
 _LP_PIVOT_TOL = 1e-9  # smallest pivot element; smaller ones are rounded zeros
 
 
-def _simplex_embedding(dset) -> tuple[float, float]:
-    """(theta, scale) of x = theta*1 + scale*w, the exact image of the
-    standard simplex w on a simplex-family set: x = E w with
-    E = theta*11^T + scale*I."""
-    theta = _simplex_floor(dset)
-    return theta, 1.0 - dset.dimension * theta
-
-
-def solve_matrix_game_lp(A: np.ndarray, X: FeasibleSet, Y: FeasibleSet) -> SaddleSolution | None:
+def solve_matrix_game_lp(A: np.ndarray, X: Simplex, Y: Simplex) -> SaddleSolution | None:
     """min_x max_y x^T A y over two (floored) simplexes by the simplex method
     (Dantzig 1951); None when the pivot cap is reached.
 
-    A floored simplex is the image x = E_x w of the standard one, so the
-    game on A is the standard game on E_x^T A E_y, solved and mapped back.
+    A floored simplex is the image x = E_x w of the standard one, with
+    E_x = theta*11^T + scale*I (``Simplex.embed``), so the game on A is the
+    standard game on E_x^T A E_y, solved and mapped back.
     That matrix, rescaled to entries in [1, 2], gives the LP
     max 1^T u s.t. B^T u <= 1, u >= 0, whose optimum is u = w / v for the
     minimizer's strategy w and the game value v; the dual prices of the d2
@@ -231,13 +234,11 @@ def solve_matrix_game_lp(A: np.ndarray, X: FeasibleSet, Y: FeasibleSet) -> Saddl
     certificate max_j (x^T A)_j - min_i (A y)_i on the sets.
     """
     A = np.asarray(A, dtype=float)
-    theta_x, sx = _simplex_embedding(X)
-    theta_y, sy = _simplex_embedding(Y)
     B = A
-    if theta_x > 0.0:
-        B = theta_x * B.sum(axis=0) + sx * B
-    if theta_y > 0.0:
-        B = theta_y * B.sum(axis=1)[:, None] + sy * B
+    if X.theta > 0.0:
+        B = X.theta * B.sum(axis=0) + X.scale * B
+    if Y.theta > 0.0:
+        B = Y.theta * B.sum(axis=1)[:, None] + Y.scale * B
     lo, hi = float(B.min()), float(B.max())
     B = (B - lo) / (hi - lo if hi > lo else 1.0) + 1.0
     d1, d2 = B.shape
@@ -273,8 +274,8 @@ def solve_matrix_game_lp(A: np.ndarray, X: FeasibleSet, Y: FeasibleSet) -> Saddl
     structural = basis < d1
     u[basis[structural]] = rhs[structural]
     q = np.maximum(tab[d2, d1:-1], 0.0)
-    x = theta_x + sx * (u / u.sum())
-    y = theta_y + sy * (q / q.sum())
+    x = X.embed(u / u.sum())
+    y = Y.embed(q / q.sum())
     upper, _ = Y.maximize_linear(A.T @ x)
     lower, _ = X.minimize_linear(A @ y)
     return SaddleSolution(x, y, float(x @ A @ y), max(upper - lower, 0.0), pivots, "lp")
@@ -391,10 +392,6 @@ def _kl_prox(log_p, step_lin, a, theta):
     return np.array([s0, 1.0 - s0])
 
 
-def _simplex_floor(dset) -> float:
-    return dset.theta if isinstance(dset, RestrictedSimplex) else 0.0
-
-
 NEWTON_MAX_STEPS = 50
 
 
@@ -443,7 +440,7 @@ def _entropic_newton_path(f: SumPayoff, X, Y, x0, cfg: SolverConfig) -> SaddleSo
     if bx <= 0.0 or by <= 0.0 or min(X.dimension, Y.dimension) < 3:
         return None
     S = f.matrix
-    theta_x, theta_y = _simplex_floor(X), _simplex_floor(Y)
+    theta_x, theta_y = X.theta, Y.theta
     stop = 1e-3 * cfg.tol_gap
 
     def envelope(x):
@@ -499,8 +496,8 @@ def _mirror_prox_entropic(f: SumPayoff, X, Y, x, y, cfg: SolverConfig) -> Saddle
     gamma = 1.0 / (2.0 * L)
     ax = 1.0 / (1.0 + gamma * bx)
     ay = 1.0 / (1.0 + gamma * by)
-    theta_x = _simplex_floor(X)
-    theta_y = _simplex_floor(Y)
+    theta_x = X.theta
+    theta_y = Y.theta
     sum_x = np.zeros_like(x)
     sum_y = np.zeros_like(y)
     navg = 0
@@ -712,10 +709,11 @@ def solve_saddle(
         x0 = X.origin_projection()
         y0 = Y.origin_projection()
 
+    simplexes = isinstance(X, Simplex) and isinstance(Y, Simplex)
     if (
-        f.is_pure_bilinear()
-        and isinstance(X, Simplex)
-        and isinstance(Y, Simplex)
+        simplexes
+        and X.theta == Y.theta == 0.0
+        and f.is_pure_bilinear()
         and f.matrix.shape == (2, 2)
     ):
         sol = solve_matrix_game_2x2(f.matrix)
@@ -739,7 +737,6 @@ def solve_saddle(
     if envelope is not None:
         return envelope
 
-    simplexes = isinstance(X, (Simplex, RestrictedSimplex)) and isinstance(Y, (Simplex, RestrictedSimplex))
     if simplexes and f.is_entropic_bilinear():
         newton = _entropic_newton_path(f, X, Y, x0, cfg)
         if newton is not None:
@@ -773,10 +770,4 @@ def hindsight_value(
     if total.count == 0:
         raise ValueError("hindsight_value needs a nonempty history")
     cfg = cfg or SolverConfig()
-    sol = solve_saddle(total, X, Y, cfg)
-    if sol.budget_exhausted(cfg):
-        raise RuntimeError(
-            f"hindsight value uncertified: gap {sol.gap:.3g} > tol_gap {cfg.tol_gap:g} "
-            f"after {sol.iterations} {sol.path} iterations"
-        )
-    return sol.value
+    return solve_saddle(total, X, Y, cfg).certified_value(cfg)

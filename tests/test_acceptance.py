@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from osp_lab.cli import cmd_oracle_check
-from osp_lab.geometry import RestrictedSimplex
+from osp_lab.geometry import Simplex
 from osp_lab.knapsack import benchmark_r_star, reward_lower_bound, sec82_instance, theorem8_steps
 from osp_lab.metrics_harness import (
     AlgorithmSpec,
@@ -167,8 +167,8 @@ def test_criterion_5_estimator_unbiasedness():
     for _ in range(100):
         d1, d2 = int(rng.integers(2, 6)), int(rng.integers(2, 6))
         A = rng.uniform(-1, 1, (d1, d2))
-        x = RestrictedSimplex(d1, 0.05).embed(rng.dirichlet(np.ones(d1)))
-        y = RestrictedSimplex(d2, 0.05).embed(rng.dirichlet(np.ones(d2)))
+        x = Simplex(d1, 0.05).embed(rng.dirichlet(np.ones(d1)))
+        y = Simplex(d2, 0.05).embed(rng.dirichlet(np.ones(d2)))
         worst = max(worst, float(np.abs(enumerate_estimator_expectation(A, x, y) - A).max()))
     _report(
         5,

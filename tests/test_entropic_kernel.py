@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osp_lab import payoffs, saddle_solver
-from osp_lab.geometry import FeasibleSet, RestrictedSimplex, Simplex
+from osp_lab.geometry import FeasibleSet, Simplex
 from osp_lab.matrix_games import EntropyRegularizer
 from osp_lab.payoffs import SumPayoff, entropy_tilted_argopt, make_bilinear, regularize, waterfill
 from osp_lab.saddle_solver import SaddleSolution, SolverConfig, solve_saddle
@@ -56,7 +56,7 @@ def _reference_waterfill(b: np.ndarray, theta: float) -> np.ndarray:
 
 
 def _reference_kl_prox(p, step_lin, step_ent, dset):
-    theta = dset.theta if isinstance(dset, RestrictedSimplex) else 0.0
+    theta = dset.theta
     a = 1.0 / (1.0 + step_ent)
     logits = a * (np.log(np.maximum(p, 1e-300)) - step_lin)
     b = np.exp(logits - logits.max())
@@ -65,8 +65,6 @@ def _reference_kl_prox(p, step_lin, step_ent, dset):
 
 def _reference_entropy_tilted_argopt(g: np.ndarray, beta: float, dset: FeasibleSet) -> np.ndarray:
     if isinstance(dset, Simplex):
-        d, theta = dset.d, 0.0
-    elif isinstance(dset, RestrictedSimplex):
         d, theta = dset.d, dset.theta
     else:
         raise TypeError("entropy-tilted optimization needs a simplex-family set")
@@ -190,7 +188,7 @@ def test_waterfill_matches_retired_loops(d, which, data):
         data.draw(st.lists(st.floats(-700.0, 700.0), min_size=d, max_size=d)), dtype=float
     )
     beta = data.draw(st.sampled_from([0.5, 1.0, 7.0]))
-    dset = Simplex(d) if theta == 0.0 else RestrictedSimplex(d, theta)
+    dset = Simplex(d, theta)
 
     b = np.exp(logits - logits.max())
     z = waterfill(b, theta)
@@ -231,7 +229,7 @@ def test_warm_started_solves_match_retired_kernel(monkeypatch, d, theta):
     floored simplex, each warm-started at the previous round's pair; d = 2
     runs the prox step's own closed form."""
     rng = np.random.default_rng(1000 + d)
-    X = Y = RestrictedSimplex(d, theta)
+    X = Y = Simplex(d, theta)
     reg = EntropyRegularizer(d, theta)
     total = SumPayoff()
     warm = (X.uniform(), Y.uniform())
@@ -267,7 +265,7 @@ def test_fallback_kernel_matches_retired_kernel(d, theta):
     mirror-prox only at d = 2 and where a floor binds; the fallback kernel
     itself must still reproduce the retired one bit for bit."""
     rng = np.random.default_rng(2000 + d)
-    X = Y = RestrictedSimplex(d, theta)
+    X = Y = Simplex(d, theta)
     reg = EntropyRegularizer(d, theta)
     entropic, bilinear = SumPayoff(), SumPayoff()
     for _ in range(6):
@@ -292,7 +290,7 @@ def test_fallback_kernel_matches_retired_kernel(d, theta):
 @pytest.mark.parametrize("offset", [0.0, 1e-15])
 def test_degenerate_floors(d, offset):
     theta = 1.0 / d - offset
-    X = RestrictedSimplex(d, theta)
+    X = Simplex(d, theta)
     rng = np.random.default_rng(d)
     A = rng.uniform(-1.0, 1.0, size=(d, d))
     p = rng.dirichlet(np.ones(d))

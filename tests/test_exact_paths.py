@@ -20,7 +20,7 @@ from scipy.optimize import linprog
 
 import osp_lab
 from osp_lab import osp_algorithms, saddle_solver
-from osp_lab.geometry import Box, RestrictedSimplex, Simplex, interval
+from osp_lab.geometry import Box, Simplex, interval
 from osp_lab.knapsack import KnapsackAggregate, KnapsackLagrangian, QuadraticFn
 from osp_lab.matrix_games import OMGRFTL, EntropyRegularizer, omg_defaults
 from osp_lab.payoffs import (
@@ -70,7 +70,7 @@ def _highs_value(A, X, Y) -> float:
 
 
 def _set(d: int, theta: float | None):
-    return Simplex(d) if theta is None else RestrictedSimplex(d, theta)
+    return Simplex(d) if theta is None else Simplex(d, theta)
 
 
 @st.composite
@@ -103,7 +103,7 @@ def _games(draw):
 @given(game=_games())
 @example(game=(np.zeros((3, 3)), Simplex(3), Simplex(3)))
 @example(game=(np.eye(4), Simplex(4), Simplex(4)))
-@example(game=(np.ones((5, 3)), RestrictedSimplex(5, 0.2), RestrictedSimplex(3, 1.0 / 3.0)))
+@example(game=(np.ones((5, 3)), Simplex(5, 0.2), Simplex(3, 1.0 / 3.0)))
 @example(game=(np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]), Simplex(3), Simplex(3)))
 @example(game=(np.kron(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.ones((8, 8))), Simplex(16), Simplex(16)))
 # a rounded zero of 1.5e-12 in the entering column once passed as a pivot
@@ -218,7 +218,7 @@ def test_newton_from_a_near_vertex_warm_start():
     eta = np.sqrt(T)
     theta = float(np.exp(-eta))
     S_half = np.array([[-1.0, 0, -1, 0], [0, 0, -1, 0], [0, -1, 0, 0], [1, -1, 0, -1]])
-    X = Y = RestrictedSimplex(d, theta)
+    X = Y = Simplex(d, theta)
     reg = EntropyRegularizer(d, theta)
     f = SumPayoff()
     for _ in range(2):
@@ -234,7 +234,7 @@ def test_binding_x_floor_falls_back_certified():
     # row 0 loses against every column, so the minimizer drives x_0 to its floor
     d, theta = 4, 0.15
     A = np.array([[1.0] * 4, [1.0, -1.0, 1.0, -1.0], [-1.0, 1.0, -1.0, 1.0], [0.0] * 4])
-    X = Y = RestrictedSimplex(d, theta)
+    X = Y = Simplex(d, theta)
     reg = EntropyRegularizer(d, theta)
     f = SumPayoff()
     f.add(regularize(make_bilinear(A), reg, reg, 0.05))
@@ -265,7 +265,7 @@ def _entropic(d: int, theta: float, weight: float, seed: int = 0):
     reg = EntropyRegularizer(d, theta)
     f = SumPayoff()
     f.add(regularize(make_bilinear(rng.uniform(-1, 1, (d, d))), reg, reg, weight))
-    return f, RestrictedSimplex(d, theta), RestrictedSimplex(d, theta)
+    return f, Simplex(d, theta), Simplex(d, theta)
 
 
 def _knapsack():

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from osp_lab.geometry import RestrictedSimplex
+from osp_lab.geometry import Simplex
 from osp_lab.knapsack import (
     KnapsackAggregate,
     KnapsackEnvironment,
@@ -49,8 +49,8 @@ class _RetiredOMGRFTL:
         self.d1 = d1
         self.d2 = d2
         self.config = config
-        self.X = RestrictedSimplex(d1, config.theta)
-        self.Y = RestrictedSimplex(d2, config.theta)
+        self.X = Simplex(d1, config.theta)
+        self.Y = Simplex(d2, config.theta)
         self.reg_x = EntropyRegularizer(d1, config.theta)
         self.reg_y = EntropyRegularizer(d2, config.theta)
         self.payoff_sum = SumPayoff()
@@ -266,7 +266,7 @@ def test_restricted_simplex_origin_projection_is_the_centre(d):
     # 10_000^(-1/6) = 0.2154 is the bandit floor at T = 1e4, where
     # theta + scale/d rounds off 1/2 at d = 2
     for theta in (0.0, 1e-300, 1e-12, min(10_000 ** (-1.0 / 6.0), 0.5 / d), 0.5 / d, 1.0 / d - 1e-15, 1.0 / d):
-        X = RestrictedSimplex(d, theta)
+        X = Simplex(d, theta)
         centre = X.origin_projection()
         assert centre.tobytes() == np.full(d, 1.0 / d).tobytes()
         assert np.abs(centre - X.project(np.zeros(d))).max() <= 4e-16

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from osp_lab.geometry import (
     Box,
-    RestrictedSimplex,
     Simplex,
     interval,
     project_simplex,
@@ -15,7 +14,7 @@ from osp_lab.oracles import grid_simplex_projection_3d, random_feasible_point
 
 def test_contains_examples():
     assert Simplex(2).contains(np.array([0.5, 0.5]), tol=0.0)
-    assert not RestrictedSimplex(3, 0.1).contains(np.array([0.05, 0.45, 0.5]))
+    assert not Simplex(3, 0.1).contains(np.array([0.05, 0.45, 0.5]))
     assert Box(np.array([-10.0]), np.array([10.0])).contains(np.array([10.0]))
 
 
@@ -33,7 +32,7 @@ def test_project_fixed_point_and_clamp():
 def test_restricted_projection_of_vertex():
     # projecting the first unit vector floors every other coordinate
     for d, theta in ((3, 0.1), (5, 0.05), (4, 0.2)):
-        rs = RestrictedSimplex(d, theta)
+        rs = Simplex(d, theta)
         e1 = np.zeros(d)
         e1[0] = 1.0
         p = rs.project(e1)
@@ -53,7 +52,7 @@ def test_projection_idempotent_and_feasible():
     rng = np.random.default_rng(11)
     sets = [
         Simplex(4),
-        RestrictedSimplex(4, 0.05),
+        Simplex(4, 0.05),
         Box(np.array([-1.0, 0.0]), np.array([2.0, 0.5])),
         Box(np.zeros(2), np.array([1.0, 3.0])),
     ]
@@ -68,14 +67,14 @@ def test_projection_idempotent_and_feasible():
 def test_diameters():
     assert abs(Simplex(2).diameter() - np.sqrt(2)) < 1e-15
     assert Box(np.array([-10.0]), np.array([10.0])).diameter() == 20.0
-    assert RestrictedSimplex(2, 0.5).diameter() == 0.0
+    assert Simplex(2, 0.5).diameter() == 0.0
     assert abs(Box(np.zeros(2), np.array([3.0, 4.0])).diameter() - 5.0) < 1e-15
     assert Simplex(1).diameter() == 0.0
 
 
 def test_projection_nonexpansive():
     rng = np.random.default_rng(7)
-    for dset in (Simplex(5), RestrictedSimplex(5, 0.08), Box(-np.ones(3), np.ones(3))):
+    for dset in (Simplex(5), Simplex(5, 0.08), Box(-np.ones(3), np.ones(3))):
         for _ in range(300):
             z1 = rng.normal(size=dset.dimension) * 2
             z2 = rng.normal(size=dset.dimension) * 2
@@ -85,7 +84,7 @@ def test_projection_nonexpansive():
 
 def test_projection_optimality_vs_random_feasible_points():
     rng = np.random.default_rng(13)
-    for dset in (Simplex(4), RestrictedSimplex(4, 0.1), Box(np.zeros(3), np.ones(3))):
+    for dset in (Simplex(4), Simplex(4, 0.1), Box(np.zeros(3), np.ones(3))):
         z = rng.normal(size=dset.dimension) * 2
         p = dset.project(z)
         base = np.linalg.norm(p - z)
@@ -96,14 +95,15 @@ def test_projection_optimality_vs_random_feasible_points():
 
 def test_embedding_bijective():
     rng = np.random.default_rng(3)
-    rs = RestrictedSimplex(6, 0.07)
+    rs = Simplex(6, 0.07)
     for _ in range(100):
         w = rng.dirichlet(np.ones(6))
-        assert np.abs(rs.unembed(rs.embed(w)) - w).max() < 1e-12
+        # the inverse map z -> (z - theta) / scale recovers w
+        assert np.abs((rs.embed(w) - rs.theta) / rs.scale - w).max() < 1e-12
 
 
 def test_degenerate_restricted_simplex_is_singleton():
-    rs = RestrictedSimplex(4, 0.25)
+    rs = Simplex(4, 0.25)
     z = rs.project(np.array([5.0, -1.0, 0.0, 0.3]))
     assert np.allclose(z, 0.25)
 
@@ -113,7 +113,7 @@ def test_projection_of_inputs_beyond_unit_precision():
     # theta = 1/d - 1e-15 scales moderate inputs up to that size
     assert np.array_equal(Simplex(2).project(np.array([0.0, 1e17])), [0.0, 1.0])
     assert np.array_equal(Simplex(3).project(np.full(3, -3e16)), np.full(3, 1.0 / 3.0))
-    rs = RestrictedSimplex(2, 0.5 - 1e-15)
+    rs = Simplex(2, 0.5 - 1e-15)
     p = rs.project(np.array([0.0, 50.0]))
     assert rs.contains(p, tol=1e-15) and p[1] >= p[0]
 
@@ -122,14 +122,14 @@ def test_box_rejects_crossed_bounds():
     with pytest.raises(ValueError):
         Box(np.array([1.0]), np.array([0.0]))
     with pytest.raises(ValueError):
-        RestrictedSimplex(3, 0.5)
+        Simplex(3, 0.5)
 
 
 def test_linear_optimization_closed_forms():
     g = np.array([2.0, -1.0, 0.5])
     val, arg = Simplex(3).minimize_linear(g)
     assert val == -1.0 and np.allclose(arg, [0, 1, 0])
-    val, arg = RestrictedSimplex(3, 0.1).minimize_linear(g)
+    val, arg = Simplex(3, 0.1).minimize_linear(g)
     assert np.allclose(arg, [0.1, 0.8, 0.1])
     assert abs(val - (0.2 - 0.8 + 0.05)) < 1e-12
     val, arg = Box(-np.ones(3), np.ones(3)).maximize_linear(g)
@@ -167,9 +167,9 @@ _PROJECTION_SETS = [
     Simplex(1),
     Simplex(2),
     Simplex(5),
-    RestrictedSimplex(3, 0.1),
-    *(RestrictedSimplex(d, 1.0 / d) for d in (2, 3, 64)),
-    *(RestrictedSimplex(d, 1.0 / d - 1e-15) for d in (2, 3, 64)),
+    Simplex(3, 0.1),
+    *(Simplex(d, 1.0 / d) for d in (2, 3, 64)),
+    *(Simplex(d, 1.0 / d - 1e-15) for d in (2, 3, 64)),
 ]
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from osp_lab.geometry import RestrictedSimplex, Simplex
+from osp_lab.geometry import Simplex
 from osp_lab.matrix_games import (
     BanditConfig,
     BanditOMGRFTL,
@@ -28,7 +28,7 @@ def test_entropy_regularizer_invariants():
     rng = np.random.default_rng(4)
     for d, theta in ((2, 0.1), (5, 0.02)):
         reg = EntropyRegularizer(d, theta)
-        rs = RestrictedSimplex(d, theta)
+        rs = Simplex(d, theta)
         assert abs(reg.value(np.full(d, 1.0 / d))) < 1e-14  # zero at uniform
         bound = max(abs(np.log(theta)), 1.0)
         assert reg.lipschitz_G == bound
@@ -89,8 +89,8 @@ def test_estimator_unbiased_exact_enumeration():
     for _ in range(100):
         d1, d2 = int(rng.integers(2, 6)), int(rng.integers(2, 6))
         A = rng.uniform(-1, 1, (d1, d2))
-        x = RestrictedSimplex(d1, 0.05).embed(rng.dirichlet(np.ones(d1)))
-        y = RestrictedSimplex(d2, 0.05).embed(rng.dirichlet(np.ones(d2)))
+        x = Simplex(d1, 0.05).embed(rng.dirichlet(np.ones(d1)))
+        y = Simplex(d2, 0.05).embed(rng.dirichlet(np.ones(d2)))
         exp = enumerate_estimator_expectation(A, x, y)
         assert np.abs(exp - A).max() <= 1e-12
 
@@ -100,8 +100,8 @@ def test_estimate_magnitude_bound_on_floored_simplex():
     delta = 0.05
     for _ in range(200):
         A = rng.uniform(-1, 1, (3, 3))
-        x = RestrictedSimplex(3, delta).embed(rng.dirichlet(np.ones(3)))
-        y = RestrictedSimplex(3, delta).embed(rng.dirichlet(np.ones(3)))
+        x = Simplex(3, delta).embed(rng.dirichlet(np.ones(3)))
+        y = Simplex(3, delta).embed(rng.dirichlet(np.ones(3)))
         i, j = int(rng.integers(3)), int(rng.integers(3))
         est = one_point_estimate(A[i, j], i, j, x, y)
         assert abs(est.scaled_value) <= np.abs(A).max() / delta**2 + 1e-12
@@ -189,8 +189,8 @@ def test_restricted_value_perturbation_bound():
     full = hindsight_value(seqs, Simplex(d), Simplex(d), SolverConfig(tol_gap=1e-9))
     floored = hindsight_value(
         seqs,
-        RestrictedSimplex(d, theta),
-        RestrictedSimplex(d, theta),
+        Simplex(d, theta),
+        Simplex(d, theta),
         SolverConfig(tol_gap=1e-9),
     )
     G = 1.0

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from osp_lab import knapsack, metrics_harness
 from osp_lab.geometry import Box, Simplex
+from osp_lab.knapsack import benchmark_r_star, sec82_instance
 from osp_lab.metrics_harness import (
     AlgorithmSpec,
     IncompatiblePairingError,
@@ -271,3 +273,33 @@ def test_unknown_generator_and_algorithm():
     scen = generate_scenario(ScenarioSpec("iid_quadratic", T=4))
     with pytest.raises(ValueError):
         resolve_parameters(scen, AlgorithmSpec("nope"))
+
+
+def _spent_budget(solve):
+    """solve_saddle whose every solution reports a spent budget above tol_gap."""
+
+    def wrapper(f, X, Y, cfg=None):
+        sol = solve(f, X, Y, cfg)
+        sol.iterations, sol.gap = cfg.max_iters, 2.0 * cfg.tol_gap
+        return sol
+
+    return wrapper
+
+
+@pytest.mark.parametrize(
+    "generator, algorithm",
+    [("iid_quadratic", "spftl"), ("random_bilinear", "bandit_omg_rftl"), ("ocowk_sec8", "pd_rftl")],
+)
+def test_uncertified_hindsight_value_raises(monkeypatch, generator, algorithm):
+    spec = ScenarioSpec(generator, T=20)
+    algo = AlgorithmSpec(algorithm)
+    resolved = resolve_parameters(generate_scenario(spec), algo)
+    monkeypatch.setattr(metrics_harness, "solve_saddle", _spent_budget(metrics_harness.solve_saddle))
+    with pytest.raises(RuntimeError, match=r"gap .* > tol_gap"):
+        run_single(spec, algo, 0, resolved=resolved)
+
+
+def test_uncertified_r_star_raises(monkeypatch):
+    monkeypatch.setattr(knapsack, "solve_saddle", _spent_budget(knapsack.solve_saddle))
+    with pytest.raises(RuntimeError, match=r"gap .* > tol_gap 1e-10"):
+        benchmark_r_star(sec82_instance(20, (200.0, 4.0)))

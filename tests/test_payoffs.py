@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from osp_lab.geometry import Box, RestrictedSimplex, Simplex
+from osp_lab.geometry import Box, Simplex
 from osp_lab.knapsack import QuadraticFn, sec82_instance
 from osp_lab.matrix_games import EntropyRegularizer
 from osp_lab.oracles import finite_difference_grads, random_feasible_point
 from osp_lab.payoffs import (
+    SeparableQuadratic,
     SquaredNormRegularizer,
     SumPayoff,
     bilinear_lipschitz,
@@ -31,7 +32,7 @@ def _constructors():
         EntropyRegularizer(2, 0.1),
         0.5,
     )
-    out.append(("entropic", reg, RestrictedSimplex(2, 0.1), RestrictedSimplex(2, 0.1)))
+    out.append(("entropic", reg, Simplex(2, 0.1), Simplex(2, 0.1)))
     return out
 
 
@@ -201,3 +202,18 @@ def test_sum_refuses_payoffs_without_closed_form_restrictions():
     for p in (entropic, make_bilinear(MP), entropic):
         s.add(p)
     assert s.count == 3 and s.is_entropic_bilinear()
+
+
+def test_simplex_minimizer_requires_exact_isotropy():
+    # projecting with quad[0] minimizes only an exactly isotropic quadratic;
+    # a relative spread of 9e-6 once passed a closeness test, and its
+    # minimum came out 1e-8 above the true one
+    lin = np.array([-3.0, 1.0])
+    near = SeparableQuadratic(np.array([1e3, 1e3 * (1 + 9e-6)]), lin)
+    with pytest.raises(TypeError, match="non-isotropic"):
+        near.minimize_over(Simplex(2))
+    with pytest.raises(TypeError, match="non-isotropic"):
+        SeparableQuadratic(-near.quad, -lin).maximize_over(Simplex(2, 0.1))
+    exact = SeparableQuadratic(np.full(2, 1e3), lin)
+    val, arg = exact.minimize_over(Simplex(2))
+    assert np.array_equal(arg, Simplex(2).project(-lin / 2e3)) and val == exact.value(arg)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from osp_lab.geometry import Box, RestrictedSimplex, Simplex, interval
+from osp_lab.geometry import Box, Simplex, interval
 from osp_lab.knapsack import KnapsackAggregate, KnapsackLagrangian, QuadraticFn
 from osp_lab.matrix_games import EntropyRegularizer
 from osp_lab.oracles import grid_matrix_game_2x2, grid_saddle_1d, random_feasible_point
@@ -57,7 +57,7 @@ def test_entropic_matching_pennies_uniform():
         make_bilinear(MP), EntropyRegularizer(2, theta), EntropyRegularizer(2, theta), 1.0
     )
     sol = solve_saddle(
-        f, RestrictedSimplex(2, theta), RestrictedSimplex(2, theta),
+        f, Simplex(2, theta), Simplex(2, theta),
         SolverConfig(tol_gap=1e-10),
     )
     assert np.abs(sol.x_star - 0.5).max() < 1e-6
@@ -74,7 +74,7 @@ def test_gap_estimate_examples():
     g = gap_estimate(fb, Simplex(2), Simplex(2), e1, e1)
     assert abs(g - 2.0) < 1e-12
     # degenerate singleton sets
-    single = RestrictedSimplex(2, 0.5)
+    single = Simplex(2, 0.5)
     g = gap_estimate(fb, single, single, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
     assert g == 0.0
 
@@ -102,7 +102,7 @@ def test_matrix_game_2x2_examples():
 def test_matrix_game_closed_form_vs_entropic_solver_500():
     rng = np.random.default_rng(314159)
     theta = 1e-8
-    sets = RestrictedSimplex(2, theta)
+    sets = Simplex(2, theta)
     worst = 0.0
     for _ in range(500):
         A = rng.uniform(-1, 1, (2, 2))
@@ -281,8 +281,8 @@ def _certified_case(draw):
     floored = draw(st.booleans())
     theta_x = draw(st.floats(0.0, 1.0 / d1)) if floored else 0.0
     theta_y = draw(st.floats(0.0, 1.0 / d2)) if floored else 0.0
-    X = RestrictedSimplex(d1, theta_x) if floored else Simplex(d1)
-    Y = RestrictedSimplex(d2, theta_y) if floored else Simplex(d2)
+    X = Simplex(d1, theta_x) if floored else Simplex(d1)
+    Y = Simplex(d2, theta_y) if floored else Simplex(d2)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     terms = [make_bilinear(rng.uniform(-1, 1, (d1, d2))) for _ in range(draw(st.integers(1, 3)))]
     if family == "entropic":
