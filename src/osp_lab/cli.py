@@ -141,21 +141,32 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"missing required key {key!r}")
         return default
 
+    def pop_int(key, default, least, required=False):
+        value = pop(key, default, required)
+        if not isinstance(value, int) or value < least:
+            kind = "positive" if least == 1 else "nonnegative"
+            raise ConfigError(f"{key} must be a {kind} integer, got {value!r}")
+        return value
+
+    def pop_flag(key):
+        value = pop(key, False)
+        if not isinstance(value, bool):
+            raise ConfigError(f"{key} must be true or false, got {value!r}")
+        return value
+
     generator = pop("scenario.generator", required=True)
-    T = pop("scenario.T", required=True)
-    if not isinstance(T, int) or T < 1:
-        raise ConfigError("scenario.T must be a positive integer")
+    T = pop_int("scenario.T", None, 1, required=True)
     if generator not in GENERATOR_IDS:
         raise ConfigError(f"unknown scenario.generator {generator!r}")
-    scenario_seed = pop("scenario.seed", 0)
+    scenario_seed = pop_int("scenario.seed", 0, 0)
     algorithm = pop("algorithm.name", required=True)
     if algorithm not in ALGORITHM_IDS:
         raise ConfigError(f"unknown algorithm.name {algorithm!r}")
-    seed_count = pop("seeds.count", 1)
-    master_seed = pop("seeds.master", 0)
+    seed_count = pop_int("seeds.count", 1, 1)
+    master_seed = pop_int("seeds.master", 0, 0)
     output_path = str(pop("output.path", "results.csv"))
-    emit_series = bool(pop("output.emit_series", False))
-    emit_svg = bool(pop("output.emit_svg", False))
+    emit_series = pop_flag("output.emit_series")
+    emit_svg = pop_flag("output.emit_svg")
     scenario_params = {}
     algorithm_params = {}
     for key, value in list(pairs.items()):
@@ -166,8 +177,6 @@ def parse_config(text: str) -> RunConfig:
             algorithm_params[sub] = value
         else:
             raise ConfigError(f"unknown config key {key!r}")
-    if not isinstance(seed_count, int) or seed_count < 1:
-        raise ConfigError("seeds.count must be a positive integer")
     return RunConfig(
         generator=generator,
         T=T,

@@ -194,7 +194,7 @@ class ScenarioSpec:
 @dataclass
 class Scenario:
     spec: ScenarioSpec
-    kind: str  # "osp" | "omg" | "bandit_capable_omg" is folded into "omg"
+    kind: str  # "osp", "omg" or "ocowk"
     X: FeasibleSet | None
     Y: FeasibleSet | None
     metadata: dict

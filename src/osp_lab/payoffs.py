@@ -185,8 +185,10 @@ class PayoffFunction:
     """Convex in x (for each y), concave in y (for each x).
 
     The structure hints (``matrix``, ``scalar_coefficients`` and the two
-    ``is_*`` tests) are those of `SumPayoff`; every other payoff reports
-    none of them, so the solver reads them without asking for the type.
+    ``is_*`` tests) are those of `SumPayoff`, and ``envelope_argmin(X, Y)``,
+    the exact minimizer of max_y f(x, y) over 1-D x, is that of the
+    knapsack aggregate; every other payoff reports none of them, so the
+    solver reads them without asking for the type.
     """
 
     lipschitz_G: float = 0.0
@@ -194,6 +196,7 @@ class PayoffFunction:
     norm_tag: str = "l2"
     matrix: np.ndarray | None = None
     scalar_coefficients: np.ndarray | None = None
+    envelope_argmin = None
 
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
         raise NotImplementedError

@@ -12,8 +12,8 @@ its running aggregate, answers the structure hints of `PayoffFunction` and
 gives its restrictions itself.
 
 ``solve_saddle`` tries its paths in a fixed order and returns from the
-first one that produces a pair certified to ``tol_gap``; only the two
-iterative fallbacks at the end return a best-effort pair, flagged by their
+first one that produces a pair certified to ``tol_gap``; only the
+first-order fallback at the end returns a best-effort pair, flagged by its
 spent iteration budget.  Each solution names its path in ``path``:
 
 1. ``closed_2x2``: 2x2 matrix games over two plain simplexes (theta = 0);
@@ -27,31 +27,30 @@ spent iteration budget.  Each solution names its path in ``path``:
    positive and d >= 3 (``_entropic_newton_path``);
 5. ``lp``: the simplex method on a pure bilinear sum over two
    simplexes, floored or not (``solve_matrix_game_lp``);
-6. ``mirror_prox``: entropic mirror-prox (Nemirovski 2004) for
-   bilinear-plus-entropy sums over simplexes, with step 1/(2*max|S_ij|) and
-   four exact KL prox steps per iteration, two from each player's current
-   iterate;
-7. ``extragradient``: every other sum, with a fixed step 1/(2*L), where L
-   is a deterministic power-iteration estimate of the gradient-map
-   Lipschitz constant.
+6. mirror-prox (Nemirovski 2004, ``_mirror_prox``), one loop with two prox
+   maps: ``mirror_prox``, the exact KL prox with step 1/(2*max|S_ij|), for
+   bilinear-plus-entropy sums over simplexes; ``extragradient``, the
+   Euclidean projections with step 1/(2*L), where L is a deterministic
+   power-iteration estimate of the gradient-map Lipschitz constant, for
+   every other sum.
 
 Newton and the LP are exact up to rounding, so their gaps sit near 1e-13;
 a pair they cannot certify (a binding x floor for Newton, the pivot cap for
-the LP) falls through to the iterative paths.  At d = 2 the entropic sums
-stay on mirror-prox: there the generic Newton costs more per round than the
-few mirror-prox iterations it saves, so d = 2 waits for a scalar Newton on
-the one free coordinate.
+the LP) falls through to mirror-prox.  At d = 2 the entropic sums stay on
+mirror-prox: there the generic Newton costs more per round than the few
+mirror-prox iterations it saves, so d = 2 waits for a scalar Newton on the
+one free coordinate.
 
-A mirror-prox prox step is the water-filling of exponential weights
-normalized to max 1 (``payoffs.waterfill``, which also serves the
-certificates' entropic inner maximizations): the entropy payoff term scales
-the logits, and the coordinate floor pins the coordinates whose share would
-fall below it.  Because the weights have max 1, the free mass never
-underflows, and for a floor theta <= 1/d the heaviest coordinate is never
-pinned.  When no floor binds, as for the tiny floors of OMG-RFTL, the
-water-fill is one pass.  At d = 2 the prox step keeps its own closed form.
-Strongly convex-concave sums return the last iterate, merely
-convex-concave sums the ergodic average.
+A KL prox step is the water-filling of exponential weights normalized to
+max 1 (``payoffs.waterfill``, which also serves the certificates' entropic
+inner maximizations): the entropy payoff term scales the logits, and the
+coordinate floor pins the coordinates whose share would fall below it.
+Because the weights have max 1, the free mass never underflows, and for a
+floor theta <= 1/d the heaviest coordinate is never pinned.  When no floor
+binds, as for the tiny floors of OMG-RFTL, the water-fill is one pass.  At
+d = 2 the prox step keeps its own closed form.  In both geometries strongly
+convex-concave sums return the last iterate, merely convex-concave sums the
+ergodic average.
 
 ``iterations`` counts Newton steps, simplex pivots, or mirror-prox and
 extragradient iterations; the closed forms, the warm start and the
@@ -322,53 +321,6 @@ def _estimate_lipschitz(f, X, Y, x, y) -> float:
     return L
 
 
-def _extragradient(f, X, Y, x, y, cfg: SolverConfig) -> SaddleSolution:
-    strongly = f.strong_H > 0
-    L = _estimate_lipschitz(f, X, Y, x, y)
-    gamma = 1.0 / (2.0 * L)
-    scale = X.diameter() + Y.diameter() + 1.0
-    sum_x = np.zeros_like(x)
-    sum_y = np.zeros_like(y)
-    navg = 0
-    best: SaddleSolution | None = None
-    check_at = 4
-    it = 0
-    while it < cfg.max_iters:
-        it += 1
-        gx, gy = _operator(f, x, y)
-        xh = X.project(x - gamma * gx)
-        yh = Y.project(y + gamma * gy)
-        gxh, gyh = _operator(f, xh, yh)
-        xn = X.project(x - gamma * gxh)
-        yn = Y.project(y + gamma * gyh)
-        residual = (
-            float(np.linalg.norm(x - xh)) + float(np.linalg.norm(y - yh))
-        ) / gamma
-        sum_x += xh
-        sum_y += yh
-        navg += 1
-        x, y = xn, yn
-        if it >= check_at or residual * scale <= 0.5 * cfg.tol_gap:
-            if strongly:
-                cx, cy = x, y
-            else:
-                cx, cy = sum_x / navg, sum_y / navg
-            g = gap_estimate(f, X, Y, cx, cy)
-            cand = SaddleSolution(cx.copy(), cy.copy(), f.value(cx, cy), g, it, "extragradient")
-            if best is None or g < best.gap:
-                best = cand
-            if g <= cfg.tol_gap:
-                return cand
-            check_at = max(check_at * 2, it + 1)
-    if best is None:
-        cx, cy = (x, y) if strongly else (sum_x / max(navg, 1), sum_y / max(navg, 1))
-        best = SaddleSolution(
-            cx.copy(), cy.copy(), f.value(cx, cy), gap_estimate(f, X, Y, cx, cy), it, "extragradient"
-        )
-    best.iterations = cfg.max_iters
-    return best
-
-
 def _kl_prox(log_p, step_lin, a, theta):
     """argmin over the floored simplex of step_lin . z + step_ent * sum z ln z
     + KL(z || p), given log_p = log(max(p, 1e-300)) and a = 1/(1 + step_ent).
@@ -390,6 +342,93 @@ def _kl_prox(log_p, step_lin, a, theta):
     if 1.0 - s0 < theta:
         return np.array([1.0 - theta, theta])
     return np.array([s0, 1.0 - s0])
+
+
+def _mirror_prox(f, X, Y, x, y, cfg: SolverConfig, entropic: bool) -> SaddleSolution:
+    """Mirror-prox (Nemirovski 2004) from (x, y) with a fixed step gamma.
+
+    Each iteration takes a prox step from z = (x, y) along the operator
+    (grad_x, -grad_y) at z to z_h, then one from z along the operator at
+    z_h.  The two geometries differ only in their prox map:
+
+    - entropic, for a bilinear-plus-entropy sum over simplexes: the KL prox
+      ``_kl_prox`` from a positive start, gamma = 1/(2*max|S_ij|), the
+      residual in l1;
+    - Euclidean, for every other sum: the projections onto X and Y, which
+      make the loop extragradient (Korpelevich 1976), gamma = 1/(2*L) for
+      the power-iteration estimate L (``_estimate_lipschitz``), the residual
+      in l2.
+
+    The candidate is checked at iterations 4, 8, 16, ... and whenever the
+    residual is small: the last iterate of a strongly convex-concave sum,
+    the ergodic average of the z_h otherwise.  A spent budget returns the
+    best candidate with iterations = max_iters.
+    """
+    if entropic:
+        S = f.matrix
+        bx, by = f.entropy_weight_x, f.entropy_weight_y
+        strongly = bx > 0 or by > 0
+        gamma = 1.0 / (2.0 * max(float(np.abs(S).max()), 1e-12))
+        ax, ay = 1.0 / (1.0 + gamma * bx), 1.0 / (1.0 + gamma * by)
+
+        # both prox steps of an iteration start from (x, y): one log each
+        def anchor(x, y):
+            return np.log(np.maximum(x, 1e-300)), np.log(np.maximum(y, 1e-300))
+
+        def operator(x, y):
+            return S @ y, S.T @ x
+
+        def prox(px, py, gx, gy):
+            return _kl_prox(px, gamma * gx, ax, X.theta), _kl_prox(py, -gamma * gy, ay, Y.theta)
+
+        def dist(v):
+            return np.abs(v).sum()
+
+        scale, path = 3.0, "mirror_prox"
+    else:
+        strongly = f.strong_H > 0
+        gamma = 1.0 / (2.0 * _estimate_lipschitz(f, X, Y, x, y))
+
+        def anchor(x, y):
+            return x, y
+
+        def operator(x, y):
+            return _operator(f, x, y)
+
+        def prox(px, py, gx, gy):
+            return X.project(px - gamma * gx), Y.project(py + gamma * gy)
+
+        dist, scale, path = np.linalg.norm, X.diameter() + Y.diameter() + 1.0, "extragradient"
+
+    sum_x = np.zeros_like(x)
+    sum_y = np.zeros_like(y)
+    best: SaddleSolution | None = None
+    check_at = 4
+    it = 0
+    while it < cfg.max_iters:
+        it += 1
+        px, py = anchor(x, y)
+        gx, gy = operator(x, y)
+        xh, yh = prox(px, py, gx, gy)
+        gx, gy = operator(xh, yh)
+        xn, yn = prox(px, py, gx, gy)
+        residual = (float(dist(x - xh)) + float(dist(y - yh))) / gamma
+        sum_x += xh
+        sum_y += yh
+        x, y = xn, yn
+        # a budget spent before the first check still measures its candidate
+        last = best is None and it == cfg.max_iters
+        if it >= check_at or residual * scale <= 0.5 * cfg.tol_gap or last:
+            cx, cy = (x, y) if strongly else (sum_x / it, sum_y / it)
+            g = gap_estimate(f, X, Y, cx, cy)
+            cand = SaddleSolution(cx.copy(), cy.copy(), f.value(cx, cy), g, it, path)
+            if best is None or g < best.gap:
+                best = cand
+            if g <= cfg.tol_gap:
+                return cand
+            check_at = max(check_at * 2, it + 1)
+    best.iterations = cfg.max_iters
+    return best
 
 
 NEWTON_MAX_STEPS = 50
@@ -487,64 +526,6 @@ def _entropic_newton_path(f: SumPayoff, X, Y, x0, cfg: SolverConfig) -> SaddleSo
         x, phi, y = x_new, phi_new, y_new
 
 
-def _mirror_prox_entropic(f: SumPayoff, X, Y, x, y, cfg: SolverConfig) -> SaddleSolution:
-    S = f.matrix
-    bx = f.entropy_weight_x
-    by = f.entropy_weight_y
-    strongly = bx > 0 or by > 0  # entropy terms make the sum strongly convex-concave
-    L = max(float(np.abs(S).max()), 1e-12)
-    gamma = 1.0 / (2.0 * L)
-    ax = 1.0 / (1.0 + gamma * bx)
-    ay = 1.0 / (1.0 + gamma * by)
-    theta_x = X.theta
-    theta_y = Y.theta
-    sum_x = np.zeros_like(x)
-    sum_y = np.zeros_like(y)
-    navg = 0
-    best: SaddleSolution | None = None
-    check_at = 4
-    it = 0
-    scale = 2.0 + 1.0
-    while it < cfg.max_iters:
-        it += 1
-        # both prox steps of an iteration start from (x, y): one log each
-        log_x = np.log(np.maximum(x, 1e-300))
-        log_y = np.log(np.maximum(y, 1e-300))
-        gx = S @ y
-        gy = S.T @ x
-        xh = _kl_prox(log_x, gamma * gx, ax, theta_x)
-        yh = _kl_prox(log_y, -gamma * gy, ay, theta_y)
-        gxh = S @ yh
-        gyh = S.T @ xh
-        xn = _kl_prox(log_x, gamma * gxh, ax, theta_x)
-        yn = _kl_prox(log_y, -gamma * gyh, ay, theta_y)
-        residual = (
-            float(np.abs(x - xh).sum()) + float(np.abs(y - yh).sum())
-        ) / gamma
-        sum_x += xh
-        sum_y += yh
-        navg += 1
-        x, y = xn, yn
-        if it >= check_at or residual * scale <= 0.5 * cfg.tol_gap:
-            if strongly:
-                cx, cy = x, y
-            else:
-                cx, cy = sum_x / navg, sum_y / navg
-            g = gap_estimate(f, X, Y, cx, cy)
-            cand = SaddleSolution(cx.copy(), cy.copy(), f.value(cx, cy), g, it, "mirror_prox")
-            if best is None or g < best.gap:
-                best = cand
-            if g <= cfg.tol_gap:
-                return cand
-            check_at = max(check_at * 2, it + 1)
-    if best is None:
-        best = SaddleSolution(
-            x.copy(), y.copy(), f.value(x, y), gap_estimate(f, X, Y, x, y), it, "mirror_prox"
-        )
-    best.iterations = cfg.max_iters
-    return best
-
-
 def _scalar_interior_fast_path(f: SumPayoff, X, Y, cfg) -> SaddleSolution | None:
     """Interior stationary point of a scalar convex-concave quadratic sum.
 
@@ -592,7 +573,7 @@ def _closed_form_envelope_path(f, X, Y, cfg) -> SaddleSolution | None:
     """Envelope path for a payoff that minimizes its own envelope
     phi(x) = max_y f(x, y) exactly (``envelope_argmin``); None otherwise or
     when the pair fails to certify."""
-    if not hasattr(f, "envelope_argmin"):
+    if f.envelope_argmin is None:
         return None
     return _certified_envelope_pair(f, X, Y, cfg, np.array([f.envelope_argmin(X, Y)]), "envelope")
 
@@ -689,13 +670,15 @@ def solve_saddle(
     """min_x max_y f over X x Y with a certified duality gap.
 
     Returns the first pair certified to tol_gap along the path order of the
-    module docstring; ``path`` names the path that produced it.  When both
-    exact and closed-form paths fail, the iterative fallback (mirror-prox or
-    extragradient) runs to tol_gap or to max_iters; a spent budget returns
-    the best measured candidate with iterations = max_iters, which
-    ``SaddleSolution.budget_exhausted`` reports.  Tie-breaking among
-    non-unique saddles is deterministic (fixed warm start, pivot rule, probe
-    sequence and averaging), so reruns reproduce bitwise.
+    module docstring; ``path`` names the path that produced it.  When the
+    exact and closed-form paths fail, mirror-prox runs to tol_gap or to
+    max_iters, with the KL prox for an entropic-bilinear sum over simplexes
+    (path ``mirror_prox``) and the Euclidean projections otherwise
+    (``extragradient``); a spent budget returns the best measured candidate
+    with iterations = max_iters, which ``SaddleSolution.budget_exhausted``
+    reports.  Tie-breaking among non-unique saddles is deterministic (fixed
+    warm start, pivot rule, probe sequence and averaging), so reruns
+    reproduce bitwise.
     """
     cfg = cfg or SolverConfig()
     f = _as_sum(f)
@@ -737,7 +720,8 @@ def solve_saddle(
     if envelope is not None:
         return envelope
 
-    if simplexes and f.is_entropic_bilinear():
+    entropic = simplexes and f.is_entropic_bilinear()
+    if entropic:
         newton = _entropic_newton_path(f, X, Y, x0, cfg)
         if newton is not None:
             return newton
@@ -747,15 +731,12 @@ def solve_saddle(
             lp.gap = gap_estimate(f, X, Y, lp.x_star, lp.y_star)
             if lp.gap <= cfg.tol_gap:
                 return lp
-
-    if simplexes and f.is_entropic_bilinear():
+    if entropic:
         x0 = np.maximum(x0, 1e-300)
         x0 = x0 / x0.sum()
         y0 = np.maximum(y0, 1e-300)
         y0 = y0 / y0.sum()
-        return _mirror_prox_entropic(f, X, Y, x0, y0, cfg)
-
-    return _extragradient(f, X, Y, x0, y0, cfg)
+    return _mirror_prox(f, X, Y, x0, y0, cfg, entropic)
 
 
 def hindsight_value(

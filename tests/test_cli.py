@@ -74,6 +74,40 @@ def test_parse_errors():
         )
 
 
+BASE = "scenario.generator = iid_quadratic\nscenario.T = 10\nalgorithm.name = spftl\n"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "scenario.seed = 2.5",
+        "scenario.seed = -1",
+        "seeds.master = 1.5",
+        "seeds.master = -3",
+        "seeds.master = seven",
+        "seeds.count = 0",
+        "scenario.T = 1.5",
+        "output.emit_series = no",
+        "output.emit_series = 1",
+        "output.emit_svg = yes",
+    ],
+)
+def test_parse_rejects_bad_seeds_and_flags(line):
+    with pytest.raises(ConfigError, match=line.split(" =")[0]):
+        parse_config(BASE + line + "\n")
+
+
+def test_cmd_run_bad_seed_or_flag_exits_config(tmp_path):
+    """A float seed is a config error (exit 2), not numpy's TypeError, and
+    a flag that is not true/false writes nothing."""
+    out = tmp_path / "r.csv"
+    conf = tmp_path / "r.conf"
+    for line in ("seeds.master = 1.5", "scenario.seed = 2.5", "output.emit_series = no"):
+        conf.write_text(BASE + f"output.path = {out}\n{line}\n")
+        assert cmd_run(str(conf)) == EXIT_CONFIG
+    assert not out.exists() and not (tmp_path / "r.series.csv").exists()
+
+
 def test_cmd_run_smoke(tmp_path):
     out = tmp_path / "res.csv"
     conf = tmp_path / "run.conf"

@@ -205,10 +205,15 @@ def test_waterfill_matches_retired_loops(d, which, data):
 # ---------------------------------------------------------------------------
 
 
+def _reference_entropic_loop(f, X, Y, x, y, cfg, entropic):
+    assert entropic
+    return _reference_mirror_prox_entropic(f, X, Y, x, y, cfg)
+
+
 def _solve_both(monkeypatch, f, X, Y, cfg):
     new = solve_saddle(f, X, Y, cfg)
     with monkeypatch.context() as m:
-        m.setattr(saddle_solver, "_mirror_prox_entropic", _reference_mirror_prox_entropic)
+        m.setattr(saddle_solver, "_mirror_prox", _reference_entropic_loop)
         m.setattr(payoffs, "entropy_tilted_argopt", _reference_entropy_tilted_argopt)
         old = solve_saddle(f, X, Y, cfg)
     return new, old
@@ -275,7 +280,7 @@ def test_fallback_kernel_matches_retired_kernel(d, theta):
     cfg = SolverConfig(tol_gap=1e-6, max_iters=256)
     for f in (entropic, bilinear):
         x0, y0 = rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d))
-        new = saddle_solver._mirror_prox_entropic(f, X, Y, x0.copy(), y0.copy(), cfg)
+        new = saddle_solver._mirror_prox(f, X, Y, x0.copy(), y0.copy(), cfg, True)
         old = _reference_mirror_prox_entropic(f, X, Y, x0.copy(), y0.copy(), cfg)
         _assert_same_solution(new, old)
         assert new.iterations > 0

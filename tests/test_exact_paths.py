@@ -202,7 +202,7 @@ def test_newton_agrees_with_mirror_prox():
     for f, X, Y, cfg in _recorded_omg_rounds(8, 120, seed=11, tol=tol)[::10]:
         x0, y0 = cfg.warm_start
         newton = saddle_solver._entropic_newton_path(f, X, Y, x0, cfg)
-        mp = saddle_solver._mirror_prox_entropic(f, X, Y, x0.copy(), y0.copy(), cfg)
+        mp = saddle_solver._mirror_prox(f, X, Y, x0.copy(), y0.copy(), cfg, True)
         assert newton is not None and newton.gap <= 1e-3 * tol
         assert mp.gap <= tol
         beta = min(f.entropy_weight_x, f.entropy_weight_y)
