@@ -143,7 +143,7 @@ def parse_config(text: str) -> RunConfig:
 
     def pop_int(key, default, least, required=False):
         value = pop(key, default, required)
-        if not isinstance(value, int) or value < least:
+        if type(value) is not int or value < least:  # refuses true/false too
             kind = "positive" if least == 1 else "nonnegative"
             raise ConfigError(f"{key} must be a {kind} integer, got {value!r}")
         return value

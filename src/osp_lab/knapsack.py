@@ -22,11 +22,15 @@ row with the same function.
 The SP-FTL agent is ``osp_algorithms.SPFTL``, the library's one
 follow-the-leader driver, with its running sum replaced by a
 ``KnapsackAggregate``; PD-RFTL takes gradient steps and has its own ``step``.
+The aggregate gives the solver its coefficient rows (``envelope_rows``), so
+each SP-FTL round and the r* solve, a one-round aggregate of the expected
+functions, go through the solver's one exact 1-D path,
+``saddle_solver.envelope_argmin``.  ``KnapsackLagrangian`` is the per-round
+payoff the agents and the harness observe; it gives no rows.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -328,128 +332,13 @@ class KnapsackAggregate(PayoffFunction):
             -rsum + self.H * self.t * xv * xv,
         )
 
-    def envelope_argmin(self, X, Y) -> float:
-        """Exact minimizer of phi(x) = max_y of this aggregate over [0, ymax].
-
-        phi is convex with derivative dphi(x) = -Rsum'(x) + 2*H*t*x +
-        sum_i y_i*(x) * Csum_i'(x).  The inner argmax is
-        y_i*(x) = clip(g_i(x) / (2Ht), 0, ymax_i) with g_i = Csum_i - t*b_i/T,
-        or bang-bang ymax_i * [g_i(x) > 0] when H = 0.  Each y_i* changes
-        form only where g_i(x) = 0 or, when H > 0, g_i(x) = 2Ht*ymax_i: at
-        most 4m quadratic roots.  Between these breakpoints dphi is a smooth
-        nondecreasing polynomial.  It is piecewise cubic when H > 0, because
-        an interior y_i = g_i/(2Ht) is quadratic and multiplies the linear
-        Csum_i', and piecewise linear when H = 0 or no y_i is interior.
-
-        After the endpoint tests, the sign of dphi at the sorted breakpoints
-        brackets the sign change.  On that piece the root is closed form when
-        dphi is linear and safeguarded Newton otherwise, both to machine
-        precision.  When H = 0, dphi jumps at the roots of g_i, so the
-        minimizer may be the kink itself.  Ties resolve to
-        sup{x : dphi(x) <= 0}.
-        """
-        lo, hi = float(X.lower[0]), float(X.upper[0])
-        ra2, ra1 = float(self.r_coef[0]), float(self.r_coef[1])
-        Ht2 = 2.0 * self.H * self.t
-        # (a2, a1, a0 - t*b_i/T, ymax_i) per resource; ymax_i = 0 pins y_i = 0
-        rows = [
-            (a2, a1, a0 - tb, ym)
-            for (a2, a1, a0), tb, ym in zip(
-                self.c_coef.tolist(), (self.t * self.b_over_T).tolist(), Y.upper.tolist()
-            )
-            if ym > 0.0
-        ]
-
-        def piece_at(xv: float):
-            """dphi on the piece holding xv: slope*x + icpt from the y_i at 0
-            or ymax_i, plus g_i*Csum_i'/(2Ht) for each interior y_i."""
-            slope, icpt, inner = Ht2 - 2.0 * ra2, -ra1, []
-            for a2, a1, c, ym in rows:
-                g = (a2 * xv + a1) * xv + c
-                if g <= 0.0:
-                    continue
-                if Ht2 > 0.0 and g < Ht2 * ym:
-                    inner.append((a2, a1, c))
-                else:
-                    slope += 2.0 * a2 * ym
-                    icpt += a1 * ym
-            return slope, icpt, inner
-
-        def on_piece(piece, xv: float) -> float:
-            slope, icpt, inner = piece
-            d = slope * xv + icpt
-            for a2, a1, c in inner:
-                d += ((a2 * xv + a1) * xv + c) * (2.0 * a2 * xv + a1) / Ht2
-            return d
-
-        def dphi(xv: float) -> float:
-            return on_piece(piece_at(xv), xv)
-
-        if dphi(lo) >= 0.0:
-            return lo
-        if dphi(hi) <= 0.0:
-            return hi
-
-        pts = [lo]
-        for a2, a1, c, ym in rows:
-            pts += _quadratic_roots_inside(a2, a1, c, lo, hi)
-            if Ht2 > 0.0:
-                pts += _quadratic_roots_inside(a2, a1, c - Ht2 * ym, lo, hi)
-        pts.sort()
-        pts.append(hi)
-        i, j = 0, len(pts) - 1  # dphi(pts[i]) < 0 < dphi(pts[j])
-        while j - i > 1:
-            k = (i + j) // 2
-            if dphi(pts[k]) > 0.0:
-                j = k
-            else:
-                i = k
-        a, b = pts[i], pts[j]
-
-        piece = piece_at(0.5 * (a + b))
-        pa, pb = on_piece(piece, a), on_piece(piece, b)
-        if pa > 0.0:
-            return a
-        if pb <= 0.0:
-            # dphi jumps up at the kink b, whose rounded root may lie just past
-            # the exact one, where phi already climbs at the post-kink slope
-            below = math.nextafter(b, a)
-            return below if dphi(below) <= 0.0 else b
-        slope, icpt, inner = piece
-        if not inner:
-            return min(max(-icpt / slope, a), b)
-        x = a - pa * (b - a) / (pb - pa)
-        for _ in range(100):
-            p = on_piece(piece, x)
-            if p > 0.0:
-                b = x
-            else:
-                a = x
-            dp = slope
-            for a2, a1, c in inner:
-                s = 2.0 * a2 * x + a1
-                dp += (s * s + 2.0 * a2 * ((a2 * x + a1) * x + c)) / Ht2
-            x_new = x - p / dp if dp > 0.0 else 0.5 * (a + b)
-            if not a < x_new < b:
-                x_new = 0.5 * (a + b)
-            if abs(x_new - x) <= 1e-15 * (1.0 + abs(x)) or x_new in (a, b):
-                return x_new
-            x = x_new
-        return x
-
-
-def _quadratic_roots_inside(a2: float, a1: float, a0: float, lo: float, hi: float) -> list[float]:
-    """Real roots of a2*x^2 + a1*x + a0 strictly inside (lo, hi), computed
-    without cancellation."""
-    if a2 == 0.0:
-        roots = (-a0 / a1,) if a1 != 0.0 else ()
-    else:
-        disc = a1 * a1 - 4.0 * a2 * a0
-        if disc < 0.0:
-            return []
-        q = -0.5 * (a1 + math.copysign(math.sqrt(disc), a1))
-        roots = (q / a2, a0 / q) if q != 0.0 else (0.0,)
-    return [r for r in roots if lo < r < hi]
+    def envelope_rows(self):
+        """p = (Ht - Rsum_2, -Rsum_1, -Rsum_0), the rows of Csum_i - t*b_i/T,
+        and h = Ht."""
+        Ht = self.H * self.t
+        G = self.c_coef.copy()
+        G[:, 2] -= self.t * self.b_over_T
+        return (Ht - self.r_coef[0], -self.r_coef[1], -self.r_coef[2]), G, Ht
 
 
 # ---------------------------------------------------------------------------
@@ -653,14 +542,18 @@ def benchmark_r_star(
     the expected Lagrangian saddle over X x prod [0, y_max_i].
 
     The null action gives Slater's condition; y_max bounds the optimal duals,
-    so the boxed saddle value equals the constrained optimum.  Raises
-    RuntimeError when the saddle solve cannot certify its value.
+    so the boxed saddle value equals the constrained optimum.  The saddle is
+    that of the one-round aggregate (H = 0), which the solver's envelope
+    path solves exactly.  Raises RuntimeError when the saddle solve cannot
+    certify its value.
     """
     if expectation_oracle is None:
         e_r, e_c = instance.sampler.expectation()
     else:
         e_r, e_c = expectation_oracle
-    payoff = instance.lagrangian(e_r, e_c)
+    payoff = KnapsackAggregate.from_sums(
+        instance.b / instance.T, 1, e_r.coefficients(), np.array([ci.coefficients() for ci in e_c])
+    )
     cfg = cfg or SolverConfig(tol_gap=1e-10, max_iters=200_000)
     return -instance.T * solve_saddle(payoff, instance.X, instance.dual_set(), cfg).certified_value(cfg)
 

@@ -184,10 +184,9 @@ def waterfill(b: np.ndarray, theta: float) -> np.ndarray:
 class PayoffFunction:
     """Convex in x (for each y), concave in y (for each x).
 
-    The structure hints (``matrix``, ``scalar_coefficients`` and the two
-    ``is_*`` tests) are those of `SumPayoff`, and ``envelope_argmin(X, Y)``,
-    the exact minimizer of max_y f(x, y) over 1-D x, is that of the
-    knapsack aggregate; every other payoff reports none of them, so the
+    The structure hints (``matrix``, ``scalar_coefficients``, the two
+    ``is_*`` tests and ``envelope_rows``) are those of `SumPayoff` and of
+    the knapsack aggregate; every other payoff reports none of them, so the
     solver reads them without asking for the type.
     """
 
@@ -196,7 +195,6 @@ class PayoffFunction:
     norm_tag: str = "l2"
     matrix: np.ndarray | None = None
     scalar_coefficients: np.ndarray | None = None
-    envelope_argmin = None
 
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
         raise NotImplementedError
@@ -219,6 +217,13 @@ class PayoffFunction:
 
     def is_entropic_bilinear(self) -> bool:
         return False
+
+    def envelope_rows(self):
+        """(p, G, h) when f(x, y) = p(x) + sum_i y_i G_i(x) - h ||y||^2 on
+        a 1-D box of x and a box of y, with p and each G_i a quadratic's
+        coefficient row (x^2, x, 1) and h >= 0, or None; the solver
+        minimizes its envelope exactly with ``saddle_solver.envelope_argmin``."""
+        return None
 
 
 @dataclass
@@ -678,6 +683,15 @@ class SumPayoff(PayoffFunction):
     @property
     def scalar_coefficients(self) -> np.ndarray | None:
         return self._scalar
+
+    def envelope_rows(self):
+        """The rows of a scalar sum: its squared-norm weights join the x^2
+        and y^2 coefficients."""
+        if self._scalar is None or self._matrix is not None:
+            return None
+        cxy, cx2, cx1, cy2, cy1, c0 = self._scalar.tolist()
+        p = (cx2 + self.reg_weight("x", "sqnorm"), cx1, c0)
+        return p, [(0.0, cxy, cy1)], self.reg_weight("y", "sqnorm") - cy2
 
     # -- restrictions ---------------------------------------------------------
 

@@ -17,11 +17,12 @@ first-order fallback at the end returns a best-effort pair, flagged by its
 spent iteration budget.  Each solution names its path in ``path``:
 
 1. ``closed_2x2``: 2x2 matrix games over two plain simplexes (theta = 0);
-   ``scalar_interior``: interior scalar quadratics; ``envelope``: the exact
-   envelope minimizer of a payoff that provides ``envelope_argmin`` (the
-   knapsack aggregate);
-2. ``warm_accept``: an already-converged warm start;
-3. ``golden``: golden-section search on the envelope for 1-D x;
+2. ``envelope``: the exact minimizer of the envelope max_y f(x, y) over 1-D
+   x (``envelope_argmin``) for a payoff that gives its coefficient rows
+   (``envelope_rows``): scalar quadratic sums and the knapsack aggregate,
+   paired with the inner maximizer or, at a kink, the dual that balances
+   the x-gradient;
+3. ``warm_accept``: an already-converged warm start;
 4. ``newton``: equality-constrained Newton on the entropy-smoothed envelope
    of a bilinear-plus-entropy sum over simplexes with both entropy weights
    positive and d >= 3 (``_entropic_newton_path``);
@@ -34,12 +35,12 @@ spent iteration budget.  Each solution names its path in ``path``:
    power-iteration estimate of the gradient-map Lipschitz constant, for
    every other sum.
 
-Newton and the LP are exact up to rounding, so their gaps sit near 1e-13;
-a pair they cannot certify (a binding x floor for Newton, the pivot cap for
-the LP) falls through to mirror-prox.  At d = 2 the entropic sums stay on
-mirror-prox: there the generic Newton costs more per round than the few
-mirror-prox iterations it saves, so d = 2 waits for a scalar Newton on the
-one free coordinate.
+The envelope root, Newton and the LP are exact up to rounding, so their
+gaps sit near 1e-13; a pair they cannot certify (a binding x floor for
+Newton, the pivot cap for the LP) falls through to mirror-prox.  At d = 2
+the entropic sums stay on mirror-prox: there the generic Newton costs more
+per round than the few mirror-prox iterations it saves, so d = 2 waits for
+a scalar Newton on the one free coordinate.
 
 A KL prox step is the water-filling of exponential weights normalized to
 max 1 (``payoffs.waterfill``, which also serves the certificates' entropic
@@ -53,12 +54,13 @@ convex-concave sums return the last iterate, merely convex-concave sums the
 ergodic average.
 
 ``iterations`` counts Newton steps, simplex pivots, or mirror-prox and
-extragradient iterations; the closed forms, the warm start and the
-golden-section path report 0.
+extragradient iterations; the closed forms, the envelope root and the warm
+start report 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,11 +68,9 @@ import numpy as np
 from .geometry import Box, FeasibleSet, Simplex
 from .payoffs import (
     BilinearPayoff,
-    LinearPlusEntropy,
     PayoffFunction,
     RegularizedPayoff,
     ScalarQuadraticBilinear,
-    SeparableQuadratic,
     SumPayoff,
     entropy_tilted_argopt,
     negentropy,
@@ -526,108 +526,141 @@ def _entropic_newton_path(f: SumPayoff, X, Y, x0, cfg: SolverConfig) -> SaddleSo
         x, phi, y = x_new, phi_new, y_new
 
 
-def _scalar_interior_fast_path(f: SumPayoff, X, Y, cfg) -> SaddleSolution | None:
-    """Interior stationary point of a scalar convex-concave quadratic sum.
+def envelope_argmin(p, G, h: float, X: Box, Y: Box) -> float:
+    """Exact minimizer over the interval X of the convex envelope
+    phi(x) = max_{y in Y} f(x, y) of
 
-    Valid only when the unconstrained stationary point lies strictly inside
-    both boxes; otherwise the iterative path handles the active constraints.
+        f(x, y) = p(x) + sum_i y_i g_i(x) - h ||y||^2,   h >= 0,
+
+    where p and each g_i are quadratics given as coefficient rows
+    (x^2, x, 1) and Y = prod_i [lo_i, hi_i].
+
+    dphi(x) = p'(x) + sum_i y_i*(x) g_i'(x) by Danskin, with the inner
+    argmax y_i*(x) = clip(g_i(x) / 2h, lo_i, hi_i), or hi_i where g_i > 0
+    and lo_i elsewhere when h = 0.  Each y_i* changes form only where
+    g_i(x) = 2h lo_i or g_i(x) = 2h hi_i (g_i = 0 when h = 0): at most 4m
+    quadratic roots.  Between these breakpoints dphi is a smooth
+    nondecreasing polynomial: an interior y_i adds g_i g_i' / 2h, which is
+    linear when g_i is and cubic otherwise; a pinned or clipped y_i adds
+    the linear y_i g_i'.
+
+    After the endpoint tests, the sign of dphi at the sorted breakpoints
+    brackets the sign change.  On that piece the root is closed form when
+    dphi is linear and safeguarded Newton otherwise, both to machine
+    precision.  When h = 0, dphi jumps at the roots of g_i, so the
+    minimizer may be the kink itself.  Ties resolve to sup{x : dphi(x) <= 0}.
     """
-    coeffs = f.scalar_coefficients
-    if coeffs is None or f.matrix is not None:
-        return None
-    # a sum with a scalar part carries no regularizer but squared norms
-    wx = f.reg_weight("x", "sqnorm")
-    wy = f.reg_weight("y", "sqnorm")
-    cxy, cx2, cx1, cy2, cy1, _ = coeffs
-    ax = 2.0 * (cx2 + wx)
-    ay = 2.0 * (cy2 - wy)
-    if ax <= 0.0 or ay >= 0.0:
-        return None
-    J = np.array([[ax, cxy], [cxy, ay]])
-    try:
-        sol = np.linalg.solve(J, np.array([-cx1, -cy1]))
-    except np.linalg.LinAlgError:
-        return None
-    xs = np.array([sol[0]])
-    ys = np.array([sol[1]])
-    if not (X.contains(xs, -1e-12) and Y.contains(ys, -1e-12)):
-        # negative tolerance = strict interiority check
-        return None
-    g = gap_estimate(f, X, Y, xs, ys)
-    if g > cfg.tol_gap:
-        return None
-    return SaddleSolution(xs, ys, f.value(xs, ys), g, 0, "scalar_interior")
-
-
-def _exact_max_restriction(f, x, Y):
-    """restrict_y(x) when it admits exact maximization over Y, else None."""
-    ry = f.restrict_y(x)
-    if isinstance(ry, SeparableQuadratic) and np.all(ry.quad <= 0.0):
-        return ry
-    if isinstance(ry, LinearPlusEntropy) and ry.ent_weight <= 0.0:
-        return ry
-    return None
-
-
-def _closed_form_envelope_path(f, X, Y, cfg) -> SaddleSolution | None:
-    """Envelope path for a payoff that minimizes its own envelope
-    phi(x) = max_y f(x, y) exactly (``envelope_argmin``); None otherwise or
-    when the pair fails to certify."""
-    if f.envelope_argmin is None:
-        return None
-    return _certified_envelope_pair(f, X, Y, cfg, np.array([f.envelope_argmin(X, Y)]), "envelope")
-
-
-def _scalar_envelope_path(f, X, Y, cfg) -> SaddleSolution | None:
-    """For 1-D x: minimize the convex envelope phi(x) = max_y f(x, y) by
-    golden-section search; each envelope evaluation is an exact closed-form
-    inner maximization.  The returned pair is trusted only through its
-    certified gap; failure to certify falls back to the iterative path."""
-    if X.dimension != 1 or not isinstance(X, Box):
-        return None
     lo, hi = float(X.lower[0]), float(X.upper[0])
-    if _exact_max_restriction(f, np.array([lo]), Y) is None:
-        return None
+    h2 = 2.0 * h
+    slope0, icpt0 = 2.0 * float(p[0]), float(p[1])
+    rows = []
+    for (a2, a1, c), ylo, yhi in zip(np.asarray(G, dtype=float).tolist(), Y.lower.tolist(), Y.upper.tolist()):
+        if ylo < yhi:
+            rows.append((a2, a1, c, ylo, yhi))
+        else:  # a pinned y_i adds a fixed linear term
+            slope0 += 2.0 * a2 * ylo
+            icpt0 += a1 * ylo
 
-    def phi(xv: float) -> float:
-        ry = _exact_max_restriction(f, np.array([xv]), Y)
-        val, _ = ry.maximize_over(Y)
-        return val
+    def piece_at(xv: float):
+        """dphi on the piece holding xv: slope*x + icpt from every y_i that
+        is clipped or whose g_i is linear, plus g_i*g_i'/2h for each other
+        interior y_i."""
+        slope, icpt, inner = slope0, icpt0, []
+        for a2, a1, c, ylo, yhi in rows:
+            g = (a2 * xv + a1) * xv + c
+            if g <= h2 * ylo:
+                y = ylo
+            elif h2 > 0.0 and g < h2 * yhi:
+                if a2 != 0.0:
+                    inner.append((a2, a1, c))
+                else:
+                    slope += a1 * a1 / h2
+                    icpt += a1 * c / h2
+                continue
+            else:
+                y = yhi
+            slope += 2.0 * a2 * y
+            icpt += a1 * y
+        return slope, icpt, inner
 
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = phi(c), phi(d)
-    for _ in range(200):
-        if b - a < 1e-13 * (1.0 + abs(a) + abs(b)):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = phi(c)
+    def on_piece(piece, xv: float) -> float:
+        slope, icpt, inner = piece
+        d = slope * xv + icpt
+        for a2, a1, c in inner:
+            d += ((a2 * xv + a1) * xv + c) * (2.0 * a2 * xv + a1) / h2
+        return d
+
+    def dphi(xv: float) -> float:
+        return on_piece(piece_at(xv), xv)
+
+    if dphi(lo) >= 0.0:
+        return lo
+    if dphi(hi) <= 0.0:
+        return hi
+
+    pts = [lo]
+    for a2, a1, c, ylo, yhi in rows:
+        pts += _quadratic_roots_inside(a2, a1, c - h2 * ylo, lo, hi)
+        if h2 > 0.0:
+            pts += _quadratic_roots_inside(a2, a1, c - h2 * yhi, lo, hi)
+    pts.sort()
+    pts.append(hi)
+    i, j = 0, len(pts) - 1  # dphi(pts[i]) < 0 < dphi(pts[j])
+    while j - i > 1:
+        k = (i + j) // 2
+        if dphi(pts[k]) > 0.0:
+            j = k
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = phi(d)
-    return _certified_envelope_pair(f, X, Y, cfg, np.array([0.5 * (a + b)]), "golden")
+            i = k
+    a, b = pts[i], pts[j]
+
+    piece = piece_at(0.5 * (a + b))
+    pa, pb = on_piece(piece, a), on_piece(piece, b)
+    if pa > 0.0:
+        return a
+    if pb <= 0.0:
+        # dphi jumps up at the kink b, whose rounded root may lie just past
+        # the exact one, where phi already climbs at the post-kink slope
+        below = math.nextafter(b, a)
+        return below if dphi(below) <= 0.0 else b
+    slope, icpt, inner = piece
+    if not inner:
+        return min(max(-icpt / slope, a), b)
+    x = a - pa * (b - a) / (pb - pa)
+    for _ in range(100):
+        p_x = on_piece(piece, x)
+        if p_x > 0.0:
+            b = x
+        else:
+            a = x
+        dp = slope
+        for a2, a1, c in inner:
+            s = 2.0 * a2 * x + a1
+            dp += (s * s + 2.0 * a2 * ((a2 * x + a1) * x + c)) / h2
+        x_new = x - p_x / dp if dp > 0.0 else 0.5 * (a + b)
+        if not a < x_new < b:
+            x_new = 0.5 * (a + b)
+        if abs(x_new - x) <= 1e-15 * (1.0 + abs(x)) or x_new in (a, b):
+            return x_new
+        x = x_new
+    return x
 
 
-def _certified_envelope_pair(f, X, Y, cfg, x_star, path) -> SaddleSolution | None:
-    """Pair the envelope minimizer x_star with the first candidate dual whose
-    certified gap is within tolerance; None when no candidate certifies."""
-    ry = _exact_max_restriction(f, x_star, Y)
-    if ry is None:
-        return None
-    _, y_hat = ry.maximize_over(Y)
-    for y_cand in _stationary_y_candidates(f, X, Y, x_star, y_hat):
-        g = gap_estimate(f, X, Y, x_star, y_cand)
-        if g <= cfg.tol_gap:
-            return SaddleSolution(x_star.copy(), y_cand, f.value(x_star, y_cand), g, 0, path)
-    return None
+def _quadratic_roots_inside(a2: float, a1: float, a0: float, lo: float, hi: float) -> list[float]:
+    """Real roots of a2*x^2 + a1*x + a0 strictly inside (lo, hi), computed
+    without cancellation."""
+    if a2 == 0.0:
+        roots = (-a0 / a1,) if a1 != 0.0 else ()
+    else:
+        disc = a1 * a1 - 4.0 * a2 * a0
+        if disc < 0.0:
+            return []
+        q = -0.5 * (a1 + math.copysign(math.sqrt(disc), a1))
+        roots = (q / a2, a0 / q) if q != 0.0 else (0.0,)
+    return [r for r in roots if lo < r < hi]
 
 
-def _stationary_y_candidates(f, X, Y, x_star, y_hat):
+def _stationary_y_candidates(f, X, Y: Box, x_star, y_hat):
     """Candidate duals paired with the envelope minimizer.
 
     The inner argmax y_hat is exact in value but, when f is linear in y,
@@ -635,7 +668,7 @@ def _stationary_y_candidates(f, X, Y, x_star, y_hat):
     zero the x-gradient recovers an interior saddle dual when one exists.
     """
     yield np.asarray(y_hat, dtype=float)
-    if not isinstance(Y, Box) or Y.dimension > 8:
+    if Y.dimension > 8:
         return
     gy = f.grad_y(x_star, y_hat)
     upper, lower = Y.upper, Y.lower
@@ -670,7 +703,8 @@ def solve_saddle(
     """min_x max_y f over X x Y with a certified duality gap.
 
     Returns the first pair certified to tol_gap along the path order of the
-    module docstring; ``path`` names the path that produced it.  When the
+    module docstring (``closed_2x2``, ``envelope``, ``warm_accept``,
+    ``newton``, ``lp``); ``path`` names the path that produced it.  When the
     exact and closed-form paths fail, mirror-prox runs to tol_gap or to
     max_iters, with the KL prox for an entropic-bilinear sum over simplexes
     (path ``mirror_prox``) and the Euclidean projections otherwise
@@ -703,22 +737,19 @@ def solve_saddle(
         sol.gap = gap_estimate(f, X, Y, sol.x_star, sol.y_star)
         return sol
 
-    fast = _scalar_interior_fast_path(f, X, Y, cfg)
-    if fast is not None:
-        return fast
-
-    envelope = _closed_form_envelope_path(f, X, Y, cfg)
-    if envelope is not None:
-        return envelope
+    rows = f.envelope_rows()
+    if rows is not None:
+        x = np.array([envelope_argmin(*rows, X, Y)])
+        _, y_hat = f.restrict_y(x).maximize_over(Y)
+        for y in _stationary_y_candidates(f, X, Y, x, y_hat):
+            g = gap_estimate(f, X, Y, x, y)
+            if g <= cfg.tol_gap:
+                return SaddleSolution(x, y, f.value(x, y), g, 0, "envelope")
 
     if cfg.warm_start is not None:
         g0 = gap_estimate(f, X, Y, x0, y0)
         if g0 <= cfg.tol_gap:
             return SaddleSolution(x0, y0, f.value(x0, y0), g0, 0, "warm_accept")
-
-    envelope = _scalar_envelope_path(f, X, Y, cfg)
-    if envelope is not None:
-        return envelope
 
     entropic = simplexes and f.is_entropic_bilinear()
     if entropic:

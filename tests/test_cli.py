@@ -97,6 +97,15 @@ def test_parse_rejects_bad_seeds_and_flags(line):
         parse_config(BASE + line + "\n")
 
 
+@pytest.mark.parametrize("flag", ["true", "false"])
+@pytest.mark.parametrize("key", ["scenario.T", "scenario.seed", "seeds.count", "seeds.master"])
+def test_parse_rejects_booleans_for_integer_keys(key, flag):
+    # bool is a subclass of int: true must not pass as 1, nor false as 0
+    text = BASE.replace("scenario.T = 10\n", "") if key == "scenario.T" else BASE
+    with pytest.raises(ConfigError, match=key):
+        parse_config(text + f"{key} = {flag}\n")
+
+
 def test_cmd_run_bad_seed_or_flag_exits_config(tmp_path):
     """A float seed is a config error (exit 2), not numpy's TypeError, and
     a flag that is not true/false writes nothing."""

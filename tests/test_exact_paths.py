@@ -289,10 +289,15 @@ def _sqnorm_bilinear():
 
 PATH_CASES = {
     "closed_2x2": lambda: (make_bilinear(np.array([[1.0, -1.0], [-1.0, 1.0]])), Simplex(2), Simplex(2)),
-    "scalar_interior": lambda: (make_quadratic_bilinear(1.0, 1.0, 2.0, -1.0), interval(-10, 10), interval(-10, 10)),
     "envelope": _knapsack,
+    # scalar sums with a saddle inside and on the boundary of the box
+    "envelope_scalar_inside": lambda: (
+        make_quadratic_bilinear(1.0, 1.0, 2.0, -1.0), interval(-10, 10), interval(-10, 10)
+    ),
+    "envelope_scalar_boundary": lambda: (
+        make_quadratic_bilinear(1.0, 1.0, 5.0, 5.0, 2.0, 2.0), interval(-2, 2), interval(-2, 2)
+    ),
     "warm_accept": _warm_accept,
-    "golden": lambda: (make_quadratic_bilinear(1.0, 1.0, 5.0, 5.0, 2.0, 2.0), interval(-2, 2), interval(-2, 2)),
     "newton": lambda: _entropic(5, 1e-9, 0.3),
     "lp": lambda: (make_bilinear(np.random.default_rng(2).uniform(-1, 1, (4, 3))), Simplex(4), Simplex(3)),
     "mirror_prox": lambda: _entropic(2, 0.1, 1.0),
@@ -300,12 +305,12 @@ PATH_CASES = {
 }
 
 
-@pytest.mark.parametrize("path", sorted(PATH_CASES))
-def test_every_solution_names_its_path(path):
-    f, X, Y, *cfg = PATH_CASES[path]()
+@pytest.mark.parametrize("case", sorted(PATH_CASES))
+def test_every_solution_names_its_path(case):
+    f, X, Y, *cfg = PATH_CASES[case]()
     cfg = cfg[0] if cfg else SolverConfig(tol_gap=1e-8)
     sol = solve_saddle(f, X, Y, cfg)
-    assert sol.path == path
+    assert sol.path == case.split("_scalar")[0]
     assert sol.gap <= cfg.tol_gap
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from osp_lab import saddle_solver
+from osp_lab import knapsack, saddle_solver
 from osp_lab.geometry import Box
 from osp_lab.knapsack import (
     KnapsackAggregate,
@@ -26,7 +26,7 @@ from osp_lab.knapsack import (
 from osp_lab.metrics_harness import AlgorithmSpec, RestrictionAccumulator, ScenarioSpec, run_single
 from osp_lab.oracles import grid_knapsack_benchmark
 from osp_lab.payoffs import SeparableQuadratic
-from osp_lab.saddle_solver import SolverConfig, solve_saddle
+from osp_lab.saddle_solver import SolverConfig, envelope_argmin, solve_saddle
 
 
 def test_lagrangian_values():
@@ -215,6 +215,23 @@ def test_benchmark_r_star_examples():
     assert abs(x_star - 10.0 / 3.0) < 1e-5
 
 
+@pytest.mark.parametrize("T", [1000, 3000, 10_000, 12_345])
+def test_r_star_is_exact_on_the_envelope_path(monkeypatch, T):
+    # the first budget binds at x* = 10/3, where E[r] = 200/9 per round
+    paths = []
+
+    def recorded(*args):
+        sol = solve_saddle(*args)
+        paths.append(sol.path)
+        return sol
+
+    monkeypatch.setattr(knapsack, "solve_saddle", recorded)
+    r_star = benchmark_r_star(sec82_instance(T))
+    exact = T * 200 / 9
+    assert paths == ["envelope"]
+    assert abs(r_star - exact) <= 2 * np.spacing(exact)
+
+
 def test_monte_carlo_expectation_close_to_analytic():
     e_r, e_c = monte_carlo_expectation(Sec82Sampler(), n=200_000, seed=5)
     assert abs(e_r.a1 - 10.0) < 0.05
@@ -368,7 +385,7 @@ def _phi(agg, xv: float, Y) -> Fraction:
 
 
 def _check_against_bisection(agg, X, Y) -> float:
-    x_new = agg.envelope_argmin(X, Y)
+    x_new = envelope_argmin(*agg.envelope_rows(), X, Y)
     x_ref = _bisection_envelope_argmin(agg, X, Y)
     assert float(X.lower[0]) <= x_new <= float(X.upper[0])
     phi_new, phi_ref = float(_phi(agg, x_new, Y)), float(_phi(agg, x_ref, Y))
@@ -430,7 +447,7 @@ def test_envelope_argmin_zero_budget(H, t, ra1, other):
     Y = _duals(ymax)
     x = _check_against_bisection(agg, X, Y)
     alone = _aggregate(t, H, (-1.0, ra1), rows[1:], b[1:])
-    assert x == alone.envelope_argmin(X, _duals(ymax[1:]))
+    assert x == envelope_argmin(*alone.envelope_rows(), X, _duals(ymax[1:]))
 
 
 @given(H=_H, t=_T, ra2=st.floats(-2.0, 0.0), push=st.floats(0.1, 50.0), other=_consumption(1.0, 20.0))
