@@ -19,14 +19,16 @@ reads the budget state: PD-RFTL, SP-FTL and OGDA see only the revealed
 null action once the remaining budget could be exceeded, must settle row by
 row with the same function.
 
-The SP-FTL agent is ``osp_algorithms.SPFTL``, the library's one
-follow-the-leader driver, with its running sum replaced by a
-``KnapsackAggregate``; PD-RFTL takes gradient steps and has its own ``step``.
-The aggregate gives the solver its coefficient rows (``envelope_rows``), so
-each SP-FTL round and the r* solve, a one-round aggregate of the expected
-functions, go through the solver's one exact 1-D path,
-``saddle_solver.envelope_argmin``.  ``KnapsackLagrangian`` is the per-round
-payoff the agents and the harness observe; it gives no rows.
+``KnapsackLagrangian`` is the per-round payoff the agents and the harness
+observe.  It gives its coefficient rows (``envelope_rows``), so a
+``payoffs.SumPayoff`` folds it like any other payoff with rows; there is no
+knapsack running sum.  The paper's SP-FTL agent regularizes each Lagrangian
+by H x^2 - H ||y||^2, which makes it ``osp_algorithms.SPRFTL`` with
+squared-norm regularizers of weight H; it only constructs.  Each of its
+rounds, the r* solve on the expected functions' Lagrangian and every
+hindsight solve go through the solver's one exact 1-D path,
+``saddle_solver.envelope_argmin``.  PD-RFTL takes gradient steps and has its
+own ``step``.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Box, FeasibleSet
-from .osp_algorithms import SPFTL, SPFTLConfig
-from .payoffs import PayoffFunction, SeparableQuadratic
+from .osp_algorithms import SPRFTL, SPRFTLConfig
+from .payoffs import PayoffFunction, SeparableQuadratic, SquaredNormRegularizer
 from .saddle_solver import SolverConfig, solve_saddle
 
 
@@ -197,7 +199,7 @@ def sec82_instance(
 
 
 # ---------------------------------------------------------------------------
-# Lagrangian payoffs and their running sums
+# The Lagrangian payoff
 # ---------------------------------------------------------------------------
 
 
@@ -250,95 +252,11 @@ class KnapsackLagrangian(PayoffFunction):
             -self.r(xv),
         )
 
-
-class KnapsackAggregate(PayoffFunction):
-    """Sum over observed rounds of L_t(x,y) + H*x^2 - H*||y||^2, held as
-    coefficient accumulators; O(1) state regardless of the horizon."""
-
-    def __init__(self, m: int, b_over_T: np.ndarray, H: float = 0.0):
-        self.m = m
-        self.b_over_T = np.asarray(b_over_T, dtype=float)
-        self.H = H
-        self.t = 0
-        self.r_coef = np.zeros(3)
-        self.c_coef = np.zeros((m, 3))
-        self.norm_tag = "l2"
-
-    @classmethod
-    def from_sums(cls, b_over_T: np.ndarray, t: int, r_coef: np.ndarray, c_coef: np.ndarray) -> "KnapsackAggregate":
-        """The unregularized (H = 0) aggregate of t rounds whose coefficient
-        sums are already known."""
-        agg = cls(c_coef.shape[0], b_over_T)
-        agg.t = t
-        agg.r_coef = np.array(r_coef, dtype=float)
-        agg.c_coef = np.array(c_coef, dtype=float)
-        return agg
-
-    def add(self, lagrangian: KnapsackLagrangian) -> None:
-        self.t += 1
-        self.r_coef += lagrangian.r.coefficients()
-        for i, ci in enumerate(lagrangian.c):
-            self.c_coef[i] += ci.coefficients()
-
-    @property
-    def strong_H(self) -> float:
-        return 2.0 * self.H * self.t
-
-    @strong_H.setter
-    def strong_H(self, _):  # fixed by construction
-        pass
-
-    def _cons_sum(self, xv: float) -> np.ndarray:
-        return self.c_coef @ np.array([xv * xv, xv, 1.0])
-
-    def value(self, x, y):
-        xv = float(x[0])
-        rsum = float(self.r_coef @ np.array([xv * xv, xv, 1.0]))
-        dual = float(y @ (self.t * self.b_over_T - self._cons_sum(xv)))
-        reg = self.H * self.t * (xv * xv - float(y @ y))
-        return -rsum - dual + reg
-
-    def grad_x(self, x, y):
-        xv = float(x[0])
-        g = (
-            -(2.0 * self.r_coef[0] * xv + self.r_coef[1])
-            + float(y @ (2.0 * self.c_coef[:, 0] * xv + self.c_coef[:, 1]))
-            + 2.0 * self.H * self.t * xv
-        )
-        return np.array([g])
-
-    def grad_y(self, x, y):
-        xv = float(x[0])
-        return self._cons_sum(xv) - self.t * self.b_over_T - 2.0 * self.H * self.t * np.asarray(y)
-
-    def restrict_x(self, y):
-        yv = np.asarray(y, dtype=float)
-        quad = -self.r_coef[0] + float(yv @ self.c_coef[:, 0]) + self.H * self.t
-        lin = -self.r_coef[1] + float(yv @ self.c_coef[:, 1])
-        const = (
-            -self.r_coef[2]
-            + float(yv @ self.c_coef[:, 2])
-            - float(yv @ (self.t * self.b_over_T))
-            - self.H * self.t * float(yv @ yv)
-        )
-        return SeparableQuadratic(np.array([quad]), np.array([lin]), const)
-
-    def restrict_y(self, x):
-        xv = float(x[0])
-        rsum = float(self.r_coef @ np.array([xv * xv, xv, 1.0]))
-        return SeparableQuadratic(
-            np.full(self.m, -self.H * self.t),
-            self._cons_sum(xv) - self.t * self.b_over_T,
-            -rsum + self.H * self.t * xv * xv,
-        )
-
     def envelope_rows(self):
-        """p = (Ht - Rsum_2, -Rsum_1, -Rsum_0), the rows of Csum_i - t*b_i/T,
-        and h = Ht."""
-        Ht = self.H * self.t
-        G = self.c_coef.copy()
-        G[:, 2] -= self.t * self.b_over_T
-        return (Ht - self.r_coef[0], -self.r_coef[1], -self.r_coef[2]), G, Ht
+        """p = -r, the rows of c_i - b_i/T, and h = 0."""
+        G = np.array([ci.coefficients() for ci in self.c])
+        G[:, 2] -= self.b_over_T
+        return -self.r.coefficients(), G, 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +419,13 @@ class PDRFTL:
         return self.current_action
 
 
-class SPFTLKnapsackAgent(SPFTL):
-    """SP-FTL on the H-regularized Lagrangians, H = T^(-1/6) by default.
+class SPFTLKnapsackAgent(SPRFTL):
+    """The paper's SP-FTL knapsack agent, which plays the saddle of
+    sum_t L_t(x, y) + H x^2 - H ||y||^2: SP-RFTL on the Lagrangians with
+    squared-norm regularizers of weight 1/eta = H, H = T^(-1/6) by default.
 
-    The saddle-point machinery sees the regularized sequence, held as the
-    running ``KnapsackAggregate``; reward and regret accounting stay with the
-    raw Lagrangians that ``step`` observes.
+    The saddle-point machinery sees the regularized sequence; reward and
+    regret accounting stay with the raw Lagrangians that ``step`` observes.
     """
 
     algorithm_id = "spftl_knapsack"
@@ -521,11 +440,11 @@ class SPFTLKnapsackAgent(SPFTL):
             H = float(instance.T ** (-1.0 / 6.0))
         if H <= 0:
             raise ValueError("H must be positive: the regularized payoff must be strongly convex-concave")
-        # each observed Lagrangian is linear in y; the aggregate adds the H terms
-        config = SPFTLConfig(solver=solver or SolverConfig(), require_strong_convexity=False)
-        super().__init__(instance.X, instance.dual_set(), config)
+        X = instance.X
+        reg_x = SquaredNormRegularizer(float(np.abs([X.lower, X.upper]).max()))
+        reg_y = SquaredNormRegularizer(float(np.linalg.norm(instance.y_max)))
+        super().__init__(X, instance.dual_set(), SPRFTLConfig(1.0 / H, reg_x, reg_y, solver or SolverConfig()))
         self.H = H
-        self.payoff_sum = KnapsackAggregate(instance.m, instance.b / instance.T, H)
 
 
 # ---------------------------------------------------------------------------
@@ -543,17 +462,15 @@ def benchmark_r_star(
 
     The null action gives Slater's condition; y_max bounds the optimal duals,
     so the boxed saddle value equals the constrained optimum.  The saddle is
-    that of the one-round aggregate (H = 0), which the solver's envelope
-    path solves exactly.  Raises RuntimeError when the saddle solve cannot
-    certify its value.
+    that of the expected functions' Lagrangian, whose coefficient rows the
+    solver's envelope path solves exactly.  Raises RuntimeError when the
+    saddle solve cannot certify its value.
     """
     if expectation_oracle is None:
         e_r, e_c = instance.sampler.expectation()
     else:
         e_r, e_c = expectation_oracle
-    payoff = KnapsackAggregate.from_sums(
-        instance.b / instance.T, 1, e_r.coefficients(), np.array([ci.coefficients() for ci in e_c])
-    )
+    payoff = instance.lagrangian(e_r, e_c)
     cfg = cfg or SolverConfig(tol_gap=1e-10, max_iters=200_000)
     return -instance.T * solve_saddle(payoff, instance.X, instance.dual_set(), cfg).certified_value(cfg)
 

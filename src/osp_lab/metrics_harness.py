@@ -24,14 +24,15 @@ import numpy as np
 
 from .geometry import Box, FeasibleSet, Simplex
 from .knapsack import (
-    KnapsackAggregate,
     KnapsackEnvironment,
     KnapsackInstance,
+    KnapsackLagrangian,
     PDRFTL,
     PDRFTLConfig,
     SPFTLKnapsackAgent,
     benchmark_r_star,
     knapsack_regret,
+    quadratics,
     reward_lower_bound,
     sec82_instance,
     theorem8_steps,
@@ -729,8 +730,8 @@ def _run_ocowk(scenario: Scenario, name: str, resolved: dict, seed: int, emit_se
     def restriction_y(t: int) -> SeparableQuadratic:
         return SeparableQuadratic(np.zeros(inst.m), ind_y_lin[t], ind_y_const[t])
 
-    def hindsight_sum(t: int) -> KnapsackAggregate:
-        return KnapsackAggregate.from_sums(bT, t + 1, r_sums[t], c_sums[t])
+    def hindsight_sum(t: int) -> KnapsackLagrangian:
+        return KnapsackLagrangian(*quadratics(r_sums[t], c_sums[t]), (t + 1) * bT)
 
     series = None
     if emit_series:

@@ -7,26 +7,21 @@ to cross-check solver outputs and frozen test expectations.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
 def _scalar_value_grid(payoff, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorized payoff values on a grid; exact for the scalar quadratic
-    family, elementwise loop otherwise (keep grids modest in that case)."""
-    coeffs = getattr(payoff, "scalar_coefficients", None)
-    if coeffs is None and hasattr(payoff, "cxy"):
-        coeffs = np.array(
-            [payoff.cxy, payoff.cx2, payoff.cx1, payoff.cy2, payoff.cy1, payoff.c0]
-        )
+    """Vectorized payoff values on a grid from the coefficient rows of a
+    payoff with one y row, elementwise loop otherwise (keep grids modest in
+    that case)."""
+    rows = payoff.envelope_rows()
     Xg = xs[:, None]
     Yg = ys[None, :]
-    if coeffs is not None:
-        cxy, cx2, cx1, cy2, cy1, c0 = coeffs
-        V = cxy * Xg * Yg + cx2 * Xg**2 + cx1 * Xg + cy2 * Yg**2 + cy1 * Yg + c0
-        if hasattr(payoff, "reg_weight"):
-            V = V + payoff.reg_weight("x", "sqnorm") * Xg**2
-            V = V - payoff.reg_weight("y", "sqnorm") * Yg**2
-        return V
+    if rows is not None:
+        p, (g,), h = rows
+        return p[0] * Xg**2 + p[1] * Xg + p[2] + Yg * (g[0] * Xg**2 + g[1] * Xg + g[2]) - h * Yg**2
     if xs.size * ys.size > 500_000:
         raise ValueError("grid too large for a non-vectorizable payoff")
     V = np.empty((xs.size, ys.size))
@@ -180,7 +175,8 @@ def sec82_expectation_check(
             (f"E[c1]({xv:g})", c1_samples, 3.0 * xv * xv + 50.0 * xv),
             (f"E[c2]({xv:g})", np.full(n, xv), xv),
         ):
-            mc = float(samples.mean())
+            # fsum: the mean of n copies of x is x, which samples.mean() rounds off
+            mc = math.fsum(samples) / n
             sigma = float(samples.std(ddof=1) / np.sqrt(n))
             rows.append((label, analytic, mc, sigma))
     return rows

@@ -9,8 +9,9 @@ gradient descent/ascent against the other's last action.
 observed payoff to the running sum, solve it warm-started at the current
 action, count a spent solver budget, move.  OMG-RFTL and its bandit variant
 (``matrix_games``) are SP-RFTL over floored simplexes, and the SP-FTL
-knapsack agent (``knapsack``) is SP-FTL on a Lagrangian running sum; they
-only construct their sets, regularizers and sums.
+knapsack agent (``knapsack``) is SP-RFTL on the Lagrangians with
+squared-norm regularizers; they only construct their sets and
+regularizers.
 
 All three are deterministic: identical configuration and observation
 sequence reproduce the iterate trace bitwise.
@@ -39,8 +40,7 @@ class SPFTL:
     """Saddle-point follow-the-leader: after observing round t, move to the
     saddle of the cumulative payoff, warm-started at the current action.
 
-    ``payoff_sum`` is any running sum with an ``add`` of the observed payoff;
-    the knapsack agent replaces it by a coefficient aggregate."""
+    ``payoff_sum`` is always a `SumPayoff`, the library's one running sum."""
 
     algorithm_id = "spftl"
 

@@ -10,10 +10,16 @@ exact optimization over a feasible set gives every duality-gap certificate
 and best response.  A payoff without such a restriction is refused with a
 ``TypeError``; nothing falls back to an iterative inner solve.
 
-Running sums of payoffs are held in `SumPayoff`, which folds the scalar
-quadratic and bilinear families, with their regularizers, into O(1)-size
-accumulators so follow-the-leader style algorithms stay cheap over long
-horizons.
+A payoff whose x is 1-D may give its coefficient rows (``envelope_rows``):
+f = p(x) + sum_i y_i g_i(x) - h ||y||^2, with p and each g_i a row
+(x^2, x, 1).  The scalar quadratics and the knapsack Lagrangians give rows,
+and so does a regularized payoff whose base gives rows and whose two
+regularizers are squared norms, which fold into p's x^2 entry and into h.
+
+`SumPayoff` is the library's one running sum, of O(1) size so
+follow-the-leader style algorithms stay cheap over long horizons.  It holds
+either the summed rows (p, G, h) or a summed matrix with one weight per
+regularizer.
 """
 
 from __future__ import annotations
@@ -184,17 +190,15 @@ def waterfill(b: np.ndarray, theta: float) -> np.ndarray:
 class PayoffFunction:
     """Convex in x (for each y), concave in y (for each x).
 
-    The structure hints (``matrix``, ``scalar_coefficients``, the two
-    ``is_*`` tests and ``envelope_rows``) are those of `SumPayoff` and of
-    the knapsack aggregate; every other payoff reports none of them, so the
-    solver reads them without asking for the type.
+    The one structure hint is ``envelope_rows``: the coefficient rows of a
+    payoff whose x is 1-D, or None.  `SumPayoff` folds the rows it is given
+    and hands its sum to the solver, which sees only running sums and reads
+    their other hints (``matrix`` and the two ``is_*`` tests) there.
     """
 
     lipschitz_G: float = 0.0
     strong_H: float = 0.0
     norm_tag: str = "l2"
-    matrix: np.ndarray | None = None
-    scalar_coefficients: np.ndarray | None = None
 
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
         raise NotImplementedError
@@ -211,12 +215,6 @@ class PayoffFunction:
 
     def restrict_y(self, x: np.ndarray):
         return None
-
-    def is_pure_bilinear(self) -> bool:
-        return False
-
-    def is_entropic_bilinear(self) -> bool:
-        return False
 
     def envelope_rows(self):
         """(p, G, h) when f(x, y) = p(x) + sum_i y_i G_i(x) - h ||y||^2 on
@@ -280,6 +278,10 @@ class ScalarQuadraticBilinear(PayoffFunction):
             lin=np.array([self.cxy * xv + self.cy1]),
             const=self.cx2 * xv * xv + self.cx1 * xv + self.c0,
         )
+
+    def envelope_rows(self):
+        """p = (cx2, cx1, c0), one row (0, cxy, cy1) and h = -cy2."""
+        return np.array([self.cx2, self.cx1, self.c0]), np.array([[0.0, self.cxy, self.cy1]]), -self.cy2
 
 
 def _corner_gradient_sup(payoff: ScalarQuadraticBilinear, xw: float, yw: float) -> float:
@@ -489,6 +491,15 @@ class RegularizedPayoff(PayoffFunction):
         offset = self.weight * self.reg_x.value(x)
         return _attach_regularizer(inner, self.reg_y, -self.weight, offset)
 
+    def envelope_rows(self):
+        """The base's rows with the weight added to p's x^2 entry and to h,
+        when both regularizers are squared norms."""
+        rows = self.base.envelope_rows()
+        if rows is None or self.reg_x.tag != "sqnorm" or self.reg_y.tag != "sqnorm":
+            return None
+        p, G, h = rows
+        return np.array([p[0] + self.weight, p[1], p[2]]), G, h + self.weight
+
 
 def _attach_regularizer(inner, reg: Regularizer, signed_weight: float, offset: float):
     """Fold weight*reg into a one-variable restriction, or bail to None."""
@@ -532,18 +543,21 @@ class _RegBucket:
 
 
 class SumPayoff(PayoffFunction):
-    """Incremental sum of scalar quadratic and bilinear payoffs and their
-    squared-norm or entropy regularizers, held in O(1) state: one coefficient
-    row, one matrix, and one weight per regularizer.  Every sum that `add`
-    accepts restricts in closed form to a separable quadratic or a
-    linear-plus-entropy form."""
+    """Incremental sum of payoffs in O(1) state: the summed coefficient rows
+    (p, G, h) of payoffs that give rows (``envelope_rows``), or the summed
+    matrix of bilinear payoffs with one weight per squared-norm or entropy
+    regularizer.  A rows sum carries its squared norms inside the rows.
+    Every sum that `add` accepts restricts in closed form to a separable
+    quadratic or a linear-plus-entropy form."""
 
     def __init__(self):
         self.count = 0
         self.strong_H = 0.0
         self.lipschitz_G = 0.0
         self.norm_tag = "l2"
-        self._scalar: np.ndarray | None = None  # [cxy cx2 cx1 cy2 cy1 c0]
+        self._p: np.ndarray | None = None  # (3,); with _G (m, 3) and _h
+        self._G: np.ndarray | None = None
+        self._h = 0.0
         self._matrix: np.ndarray | None = None
         self._regs_x: dict = {}
         self._regs_y: dict = {}
@@ -562,29 +576,30 @@ class SumPayoff(PayoffFunction):
         self.norm_tag = payoff.norm_tag
 
     def _add_part(self, payoff: PayoffFunction) -> None:
-        if isinstance(payoff, RegularizedPayoff):
+        rows = payoff.envelope_rows()
+        if rows is not None:
+            p, G, h = rows
+            if self._p is None:
+                self._p, self._G, self._h = np.array(p, dtype=float), np.array(G, dtype=float), h
+                self._require_closed_form()
+            elif np.shape(G) != self._G.shape:  # numpy would broadcast one row over m
+                raise TypeError(f"rows of shape {np.shape(G)} added to a sum of {self._G.shape}")
+            else:
+                self._p += p
+                self._G += G
+                self._h += h
+        elif isinstance(payoff, RegularizedPayoff):
             self._add_part(payoff.base)
             self._bump_reg(self._regs_x, payoff.reg_x, payoff.weight)
             self._bump_reg(self._regs_y, payoff.reg_y, payoff.weight)
-        elif isinstance(payoff, ScalarQuadraticBilinear):
-            row = np.array(
-                [payoff.cxy, payoff.cx2, payoff.cx1, payoff.cy2, payoff.cy1, payoff.c0]
-            )
-            if self._scalar is None:
-                self._scalar = row
-                self._require_closed_form()
-            else:
-                self._scalar = self._scalar + row
         elif isinstance(payoff, BilinearPayoff):
             if self._matrix is None:
                 self._matrix = payoff.A.copy()
+                self._require_closed_form()
             else:
                 self._matrix += payoff.A
         else:
-            raise TypeError(
-                f"SumPayoff folds only scalar quadratic and bilinear payoffs, "
-                f"not {type(payoff).__name__}"
-            )
+            raise TypeError(f"SumPayoff folds no {type(payoff).__name__}")
 
     def _bump_reg(self, bucket: dict, reg: Regularizer, weight: float) -> None:
         key = reg.merge_key()
@@ -594,27 +609,26 @@ class SumPayoff(PayoffFunction):
         bucket[key].weight += weight
 
     def _require_closed_form(self) -> None:
-        """Both restrictions have closed forms while every regularizer is a
-        squared norm or an entropy, and an axis with an entropy carries no
-        other curvature: no second regularizer and no scalar quadratic."""
+        """Both restrictions have closed forms while the sum is rows alone,
+        or a matrix whose regularizers are squared norms or entropies, with
+        an entropy alone on its axis."""
+        if self._p is not None and (self._matrix is not None or self._regs_x or self._regs_y):
+            raise TypeError(
+                "a coefficient-row sum takes no matrix and no regularizer "
+                "other than squared norms folded into its rows"
+            )
         for bucket in (self._regs_x, self._regs_y):
             tags = [b.reg.tag for b in bucket.values()]
-            if any(tag not in ("sqnorm", "entropy") for tag in tags) or (
-                "entropy" in tags and (len(tags) > 1 or self._scalar is not None)
-            ):
-                raise TypeError(
-                    f"no closed-form restriction for regularizers {tags}"
-                    + (" on a scalar quadratic" if self._scalar is not None else "")
-                )
+            if any(tag not in ("sqnorm", "entropy") for tag in tags) or ("entropy" in tags and len(tags) > 1):
+                raise TypeError(f"no closed-form restriction for regularizers {tags}")
 
     # -- evaluation ---------------------------------------------------------
 
     def value(self, x, y):
+        if self._p is not None:
+            v = _powers(x)
+            return float(self._p @ v) + float(y @ (self._G @ v)) - self._h * float(y @ y)
         total = 0.0
-        if self._scalar is not None:
-            cxy, cx2, cx1, cy2, cy1, c0 = self._scalar
-            xv, yv = float(x[0]), float(y[0])
-            total += cxy * xv * yv + cx2 * xv * xv + cx1 * xv + cy2 * yv * yv + cy1 * yv + c0
         if self._matrix is not None:
             total += float(x @ self._matrix @ y)
         for b in self._regs_x.values():
@@ -624,10 +638,10 @@ class SumPayoff(PayoffFunction):
         return total
 
     def grad_x(self, x, y):
+        if self._p is not None:
+            xv, p, G = float(x[0]), self._p, self._G
+            return np.array([2.0 * p[0] * xv + p[1] + float(y @ (2.0 * G[:, 0] * xv + G[:, 1]))])
         g = np.zeros_like(np.asarray(x, dtype=float))
-        if self._scalar is not None:
-            cxy, cx2, cx1 = self._scalar[0], self._scalar[1], self._scalar[2]
-            g = g + np.array([cxy * float(y[0]) + 2.0 * cx2 * float(x[0]) + cx1])
         if self._matrix is not None:
             g = g + self._matrix @ y
         for b in self._regs_x.values():
@@ -635,10 +649,9 @@ class SumPayoff(PayoffFunction):
         return g
 
     def grad_y(self, x, y):
+        if self._p is not None:
+            return self._G @ _powers(x) - 2.0 * self._h * np.asarray(y)
         g = np.zeros_like(np.asarray(y, dtype=float))
-        if self._scalar is not None:
-            cxy, cy2, cy1 = self._scalar[0], self._scalar[3], self._scalar[4]
-            g = g + np.array([cxy * float(x[0]) + 2.0 * cy2 * float(y[0]) + cy1])
         if self._matrix is not None:
             g = g + self._matrix.T @ x
         for b in self._regs_y.values():
@@ -660,18 +673,12 @@ class SumPayoff(PayoffFunction):
         return self.reg_weight("y", "entropy")
 
     def is_pure_bilinear(self) -> bool:
-        return (
-            self._matrix is not None
-            and self._scalar is None
-            and not self._regs_x
-            and not self._regs_y
-        )
+        return self._matrix is not None and not self._regs_x and not self._regs_y
 
     def is_entropic_bilinear(self) -> bool:
         """Bilinear smooth part + entropy regularization only."""
         return (
             self._matrix is not None
-            and self._scalar is None
             and all(b.reg.tag == "entropy" for b in self._regs_x.values())
             and all(b.reg.tag == "entropy" for b in self._regs_y.values())
         )
@@ -680,42 +687,26 @@ class SumPayoff(PayoffFunction):
     def matrix(self) -> np.ndarray | None:
         return self._matrix
 
-    @property
-    def scalar_coefficients(self) -> np.ndarray | None:
-        return self._scalar
-
     def envelope_rows(self):
-        """The rows of a scalar sum: its squared-norm weights join the x^2
-        and y^2 coefficients."""
-        if self._scalar is None or self._matrix is not None:
+        """The summed rows, or None for a matrix sum."""
+        if self._p is None:
             return None
-        cxy, cx2, cx1, cy2, cy1, c0 = self._scalar.tolist()
-        p = (cx2 + self.reg_weight("x", "sqnorm"), cx1, c0)
-        return p, [(0.0, cxy, cy1)], self.reg_weight("y", "sqnorm") - cy2
+        return self._p, self._G, self._h
 
     # -- restrictions ---------------------------------------------------------
 
     def restrict_x(self, y):
-        parts = []
-        if self._scalar is not None:
-            cxy, cx2, cx1, cy2, cy1, c0 = self._scalar
-            yv = float(y[0])
-            parts.append(
-                SeparableQuadratic(
-                    np.array([cx2]),
-                    np.array([cxy * yv + cx1]),
-                    cy2 * yv * yv + cy1 * yv + c0,
-                )
+        if self._p is not None:
+            y = np.asarray(y, dtype=float)
+            p, G = self._p, self._G
+            return SeparableQuadratic(
+                np.array([p[0] + float(y @ G[:, 0])]),
+                np.array([p[1] + float(y @ G[:, 1])]),
+                p[2] + float(y @ G[:, 2]) - self._h * float(y @ y),
             )
-        if self._matrix is not None:
-            parts.append(
-                SeparableQuadratic(
-                    np.zeros(self._matrix.shape[0]), self._matrix @ y, 0.0
-                )
-            )
-        out = _merge_quadratics(parts)
-        if out is None:  # empty sum
+        if self._matrix is None:  # empty sum
             return None
+        out = SeparableQuadratic(np.zeros(self._matrix.shape[0]), self._matrix @ y, 0.0)
         offset = -sum(b.weight * b.reg.value(y) for b in self._regs_y.values())
         for b in self._regs_x.values():
             out = _attach_regularizer(out, b.reg, b.weight, 0.0)
@@ -723,26 +714,12 @@ class SumPayoff(PayoffFunction):
         return out
 
     def restrict_y(self, x):
-        parts = []
-        if self._scalar is not None:
-            cxy, cx2, cx1, cy2, cy1, c0 = self._scalar
-            xv = float(x[0])
-            parts.append(
-                SeparableQuadratic(
-                    np.array([cy2]),
-                    np.array([cxy * xv + cy1]),
-                    cx2 * xv * xv + cx1 * xv + c0,
-                )
-            )
-        if self._matrix is not None:
-            parts.append(
-                SeparableQuadratic(
-                    np.zeros(self._matrix.shape[1]), self._matrix.T @ x, 0.0
-                )
-            )
-        out = _merge_quadratics(parts)
-        if out is None:  # empty sum
+        if self._p is not None:
+            v = _powers(x)
+            return SeparableQuadratic(np.full(self._G.shape[0], -self._h), self._G @ v, float(self._p @ v))
+        if self._matrix is None:  # empty sum
             return None
+        out = SeparableQuadratic(np.zeros(self._matrix.shape[1]), self._matrix.T @ x, 0.0)
         offset = sum(b.weight * b.reg.value(x) for b in self._regs_x.values())
         for b in self._regs_y.values():
             out = _attach_regularizer(out, b.reg, -b.weight, 0.0)
@@ -750,10 +727,7 @@ class SumPayoff(PayoffFunction):
         return out
 
 
-def _merge_quadratics(parts: list[SeparableQuadratic]) -> SeparableQuadratic | None:
-    if not parts:
-        return None
-    out = parts[0]
-    for p in parts[1:]:
-        out = SeparableQuadratic(out.quad + p.quad, out.lin + p.lin, out.const + p.const)
-    return out
+def _powers(x) -> np.ndarray:
+    """(x^2, x, 1) of a 1-D action x, the basis of coefficient rows."""
+    xv = float(x[0])
+    return np.array([xv * xv, xv, 1.0])

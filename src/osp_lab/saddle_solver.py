@@ -6,10 +6,8 @@ solution carries a duality gap certified by two exact one-sided inner
 optimizations: every payoff the solver accepts restricts in closed form to
 a separable quadratic or a linear-plus-entropy form (see ``payoffs``), and
 ``gap_estimate`` refuses any other with a ``TypeError``.  ``solve_saddle``
-folds a single scalar quadratic, bilinear or regularized payoff into a
-one-term `SumPayoff`; any other payoff, such as the knapsack Lagrangian and
-its running aggregate, answers the structure hints of `PayoffFunction` and
-gives its restrictions itself.
+folds a single payoff into a one-term `SumPayoff`, the library's one running
+sum, and reads every structure hint from the sum.
 
 ``solve_saddle`` tries its paths in a fixed order and returns from the
 first one that produces a pair certified to ``tol_gap``; only the
@@ -19,9 +17,9 @@ spent iteration budget.  Each solution names its path in ``path``:
 1. ``closed_2x2``: 2x2 matrix games over two plain simplexes (theta = 0);
 2. ``envelope``: the exact minimizer of the envelope max_y f(x, y) over 1-D
    x (``envelope_argmin``) for a payoff that gives its coefficient rows
-   (``envelope_rows``): scalar quadratic sums and the knapsack aggregate,
-   paired with the inner maximizer or, at a kink, the dual that balances
-   the x-gradient;
+   (``envelope_rows``): sums of scalar quadratics or of knapsack
+   Lagrangians, with squared-norm regularizers or none, paired with the
+   inner maximizer or, at a kink, the dual that balances the x-gradient;
 3. ``warm_accept``: an already-converged warm start;
 4. ``newton``: equality-constrained Newton on the entropy-smoothed envelope
    of a bilinear-plus-entropy sum over simplexes with both entropy weights
@@ -67,10 +65,7 @@ import numpy as np
 
 from .geometry import Box, FeasibleSet, Simplex
 from .payoffs import (
-    BilinearPayoff,
     PayoffFunction,
-    RegularizedPayoff,
-    ScalarQuadraticBilinear,
     SumPayoff,
     entropy_tilted_argopt,
     negentropy,
@@ -118,10 +113,10 @@ class SaddleSolution:
         return self.value
 
 
-def _as_sum(f: PayoffFunction) -> PayoffFunction:
-    """A one-term `SumPayoff` for a single payoff of a family the sum folds,
-    so the solver sees its structure; any other payoff as it is."""
-    if not isinstance(f, (ScalarQuadraticBilinear, BilinearPayoff, RegularizedPayoff)):
+def _as_sum(f: PayoffFunction) -> SumPayoff:
+    """A running sum as it is, any other payoff as a one-term `SumPayoff`,
+    so the solver reads every structure hint from a sum."""
+    if isinstance(f, SumPayoff):
         return f
     s = SumPayoff()
     s.add(f)

@@ -21,7 +21,7 @@ from scipy.optimize import linprog
 import osp_lab
 from osp_lab import osp_algorithms, saddle_solver
 from osp_lab.geometry import Box, Simplex, interval
-from osp_lab.knapsack import KnapsackAggregate, KnapsackLagrangian, QuadraticFn
+from osp_lab.knapsack import KnapsackLagrangian, QuadraticFn
 from osp_lab.matrix_games import OMGRFTL, EntropyRegularizer, omg_defaults
 from osp_lab.payoffs import (
     SquaredNormRegularizer,
@@ -270,8 +270,10 @@ def _entropic(d: int, theta: float, weight: float, seed: int = 0):
 
 def _knapsack():
     b_over_T = np.array([0.6])
-    agg = KnapsackAggregate(1, b_over_T, 0.5)
-    agg.add(KnapsackLagrangian(QuadraticFn(-1.0, 1.0, 0.0), [QuadraticFn(0.5, 1.0, 0.2)], b_over_T))
+    L = KnapsackLagrangian(QuadraticFn(-1.0, 1.0, 0.0), [QuadraticFn(0.5, 1.0, 0.2)], b_over_T)
+    reg = SquaredNormRegularizer(2.0)
+    agg = SumPayoff()
+    agg.add(regularize(L, reg, reg, 0.5))
     return agg, interval(0.0, 2.0), Box(np.zeros(1), np.array([2.0]))
 
 

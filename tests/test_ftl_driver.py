@@ -4,7 +4,10 @@ OMG-RFTL, bandit OMG-RFTL and the SP-FTL knapsack agent each had their own
 copy of the warm-started solve loop; they now only construct, and every
 round runs through ``SPFTL.step``.  The retired classes are kept here
 verbatim as references: the driver must reproduce their actions, gaps and
-budget counters bit for bit.
+budget counters bit for bit.  The knapsack agent is the exception: it is
+now SP-RFTL on a `SumPayoff`, whose running sum of H replaces the retired
+aggregate's product H*t, so its pairs must match the retired agent's to
+rounding and certify on the retired aggregate.
 """
 
 from dataclasses import replace
@@ -14,7 +17,6 @@ import pytest
 
 from osp_lab.geometry import Simplex
 from osp_lab.knapsack import (
-    KnapsackAggregate,
     KnapsackEnvironment,
     KnapsackInstance,
     QuadraticFn,
@@ -31,9 +33,11 @@ from osp_lab.matrix_games import (
     one_point_estimate,
     sample_from_distribution,
 )
-from osp_lab.osp_algorithms import SPFTL, SPRFTL
+from osp_lab.osp_algorithms import SPRFTL
 from osp_lab.payoffs import BilinearPayoff, PayoffFunction, SumPayoff, make_bilinear, regularize
-from osp_lab.saddle_solver import SolverConfig, solve_saddle
+from osp_lab.saddle_solver import SolverConfig, gap_estimate, solve_saddle
+
+from retired_knapsack_aggregate import KnapsackAggregate, solve_unwrapped
 
 # ---------------------------------------------------------------------------
 # Retired references
@@ -177,7 +181,7 @@ class _RetiredSPFTLKnapsackAgent:
     def step(self, r: QuadraticFn, c: list[QuadraticFn]) -> tuple[np.ndarray, np.ndarray]:
         self.aggregate.add(r, c)
         cfg = replace(self.solver, warm_start=self.current_action)
-        sol = solve_saddle(self.aggregate, self.X, self.Y, cfg)
+        sol = solve_unwrapped(self.aggregate, self.X, self.Y, cfg)
         if sol.budget_exhausted(cfg):
             self.budget_exceeded_rounds += 1
         self.last_gap = sol.gap
@@ -201,7 +205,7 @@ def _same(new, old):
 
 def test_omg_and_knapsack_agents_define_no_step():
     assert issubclass(OMGRFTL, SPRFTL) and issubclass(BanditOMGRFTL, OMGRFTL)
-    assert issubclass(SPFTLKnapsackAgent, SPFTL)
+    assert issubclass(SPFTLKnapsackAgent, SPRFTL)
     assert "step" not in OMGRFTL.__dict__ and "step" not in SPFTLKnapsackAgent.__dict__
 
 
@@ -245,6 +249,7 @@ def test_bandit_omg_rftl_matches_retired_driver(d):
 def test_spftl_knapsack_agent_matches_retired_driver():
     T = 200
     inst = sec82_instance(T, (0.5, 0.5))
+    X, Y = inst.X, inst.dual_set()
     solver = SolverConfig(tol_gap=1e-6, max_iters=50_000)
     new = SPFTLKnapsackAgent(inst, solver=solver)
     old = _RetiredSPFTLKnapsackAgent(inst, solver=solver)
@@ -255,10 +260,18 @@ def test_spftl_knapsack_agent_matches_retired_driver():
         r, c = env.functions(t)
         new.step(inst.lagrangian(r, c))
         old.step(r, c)
-        _same(new, old)
+        # the new pair is a certified saddle of the retired aggregate
+        assert gap_estimate(old.aggregate, X, Y, *new.current_action) <= solver.tol_gap
+        for a, b in zip(new.current_action, old.current_action):
+            assert np.abs(a - b).max() <= 1e-9
+        assert new.budget_exceeded_rounds == old.budget_exceeded_rounds
+        # the coefficient sums agree as values; p_2 and the b/T column of G
+        # are H*t - sum r_2 and t*b/T in the retired aggregate
+        p, G, _ = new.payoff_sum.envelope_rows()
+        ref = old.aggregate
+        assert np.array_equal(G[:, :2], ref.c_coef[:, :2])
+        assert p[1] == -ref.r_coef[1] and p[2] == -ref.r_coef[2]
     assert env.state.violated  # the budgets bind
-    agg, ref = new.payoff_sum, old.aggregate
-    assert (agg.t, agg.r_coef.tobytes(), agg.c_coef.tobytes()) == (ref.t, ref.r_coef.tobytes(), ref.c_coef.tobytes())
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 64])

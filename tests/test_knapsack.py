@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from osp_lab import knapsack, saddle_solver
 from osp_lab.geometry import Box
 from osp_lab.knapsack import (
-    KnapsackAggregate,
     KnapsackEnvironment,
     KnapsackInstance,
+    KnapsackLagrangian,
     PDRFTL,
     PDRFTLConfig,
     QuadraticFn,
@@ -24,8 +24,8 @@ from osp_lab.knapsack import (
     theorem8_steps,
 )
 from osp_lab.metrics_harness import AlgorithmSpec, RestrictionAccumulator, ScenarioSpec, run_single
-from osp_lab.oracles import grid_knapsack_benchmark
-from osp_lab.payoffs import SeparableQuadratic
+from osp_lab.oracles import grid_knapsack_benchmark, sec82_expectation_check
+from osp_lab.payoffs import SeparableQuadratic, SquaredNormRegularizer, SumPayoff, regularize
 from osp_lab.saddle_solver import SolverConfig, envelope_argmin, solve_saddle
 
 
@@ -238,6 +238,13 @@ def test_monte_carlo_expectation_close_to_analytic():
     assert abs(e_c[0].a2 - 3.0) < 0.05
 
 
+def test_sec82_expectation_check_passes_every_row():
+    # E[c2](x) = x averages 10^6 copies of x, whose sample sigma is only
+    # rounding noise: a mean that rounds off 10/3 fails its 3-sigma test
+    for label, analytic, mc, sigma in sec82_expectation_check():
+        assert abs(analytic - mc) <= 3.0 * sigma, label
+
+
 def test_monte_carlo_expectation_folds_rows_in_draw_order():
     # reference: draw round by round and add each round's coefficients
     sampler, n = Sec82Sampler(), 1000
@@ -319,23 +326,21 @@ def test_rftl_component_regret_bound():
 # ---------------------------------------------------------------------------
 
 
-def _bisection_envelope_argmin(agg, X, Y) -> float:
-    """The former KnapsackAggregate.envelope_argmin: endpoint tests, then 100
-    bisection steps on the sign of dphi/dx.  Kept as the reference."""
+def _bisection_envelope_argmin(rows, X, Y) -> float:
+    """The former KnapsackAggregate.envelope_argmin, on coefficient rows:
+    endpoint tests, then 100 bisection steps on the sign of dphi/dx.  Kept
+    as the reference."""
     lo, hi = float(X.lower[0]), float(X.upper[0])
     ymax = Y.upper
-    ra2, ra1 = agg.r_coef[0], agg.r_coef[1]
-    ca2, ca1 = agg.c_coef[:, 0], agg.c_coef[:, 1]
-    tb = agg.t * agg.b_over_T
-    Ht2 = 2.0 * agg.H * agg.t
+    p, G, h = rows
 
     def dphi(xv: float) -> float:
-        g = agg.c_coef @ np.array([xv * xv, xv, 1.0]) - tb
-        if Ht2 > 0.0:
-            y = np.clip(g / Ht2, 0.0, ymax)
+        g = G @ np.array([xv * xv, xv, 1.0])
+        if h > 0.0:
+            y = np.clip(g / (2.0 * h), 0.0, ymax)
         else:
             y = np.where(g > 0.0, ymax, 0.0)
-        return -(2.0 * ra2 * xv + ra1) + Ht2 * xv + float(y @ (2.0 * ca2 * xv + ca1))
+        return 2.0 * p[0] * xv + p[1] + float(y @ (2.0 * G[:, 0] * xv + G[:, 1]))
 
     if dphi(lo) >= 0.0:
         return lo
@@ -351,13 +356,19 @@ def _bisection_envelope_argmin(agg, X, Y) -> float:
     return 0.5 * (a + b)
 
 
-def _aggregate(t, H, r, rows, b_over_T):
-    """Aggregate of t rounds whose per-round mean reward is r = (a2, a1) and
-    mean consumptions are rows[i] = (a2, a1, a0)."""
-    agg = KnapsackAggregate(len(rows), np.asarray(b_over_T, dtype=float), H)
-    agg.t = t
-    agg.r_coef = t * np.array([r[0], r[1], 0.0])
-    agg.c_coef = t * np.asarray(rows, dtype=float)
+def _aggregate(t, H, r, rows, b_over_T) -> SumPayoff:
+    """The running sum of t rounds whose per-round mean reward is
+    r = (a2, a1) and mean consumptions are rows[i] = (a2, a1, a0), each
+    regularized by H x^2 - H ||y||^2: one Lagrangian of the summed
+    coefficients with the regularizer weight H*t."""
+    L = KnapsackLagrangian(
+        QuadraticFn(*(t * np.array([r[0], r[1], 0.0]))),
+        [QuadraticFn(*row) for row in t * np.asarray(rows, dtype=float)],
+        t * np.asarray(b_over_T, dtype=float),
+    )
+    reg = SquaredNormRegularizer(1.0)
+    agg = SumPayoff()
+    agg.add(regularize(L, reg, reg, H * t) if H > 0.0 else L)
     return agg
 
 
@@ -366,29 +377,31 @@ def _duals(ymax) -> Box:
     return Box(np.zeros(len(ymax)), np.array(ymax, dtype=float))
 
 
-def _phi(agg, xv: float, Y) -> Fraction:
-    """phi(x) = max_y of the aggregate over Y in exact rational arithmetic,
-    so that rounding in the evaluation cannot rank two candidates."""
+def _phi(rows, xv: float, Y) -> Fraction:
+    """phi(x) = max_y of the rows' payoff over Y in exact rational
+    arithmetic, so that rounding in the evaluation cannot rank two
+    candidates."""
     x = Fraction(xv)
-    Ht = Fraction(agg.H) * agg.t
-    ra2, ra1, ra0 = (Fraction(v) for v in agg.r_coef.tolist())
-    val = -(ra2 * x * x + ra1 * x + ra0) + Ht * x * x
-    tb = (agg.t * agg.b_over_T).tolist()
-    for (a2, a1, a0), tbi, ym in zip(agg.c_coef.tolist(), tb, Y.upper.tolist()):
-        g = Fraction(a2) * x * x + Fraction(a1) * x + Fraction(a0) - Fraction(tbi)
-        if Ht == 0:
+    p, G, h = rows
+    h = Fraction(h)
+    p2, p1, p0 = (Fraction(v) for v in p.tolist())
+    val = p2 * x * x + p1 * x + p0
+    for (a2, a1, a0), ym in zip(G.tolist(), Y.upper.tolist()):
+        g = Fraction(a2) * x * x + Fraction(a1) * x + Fraction(a0)
+        if h == 0:
             y = Fraction(ym) if g > 0 else Fraction(0)
         else:
-            y = min(max(g / (2 * Ht), Fraction(0)), Fraction(ym))
-        val += y * g - Ht * y * y
+            y = min(max(g / (2 * h), Fraction(0)), Fraction(ym))
+        val += y * g - h * y * y
     return val
 
 
 def _check_against_bisection(agg, X, Y) -> float:
-    x_new = envelope_argmin(*agg.envelope_rows(), X, Y)
-    x_ref = _bisection_envelope_argmin(agg, X, Y)
+    rows = agg.envelope_rows()
+    x_new = envelope_argmin(*rows, X, Y)
+    x_ref = _bisection_envelope_argmin(rows, X, Y)
     assert float(X.lower[0]) <= x_new <= float(X.upper[0])
-    phi_new, phi_ref = float(_phi(agg, x_new, Y)), float(_phi(agg, x_ref, Y))
+    phi_new, phi_ref = float(_phi(rows, x_new, Y)), float(_phi(rows, x_ref, Y))
     assert phi_new <= phi_ref + 1e-12 * (1.0 + abs(phi_ref))
     assert abs(x_new - x_ref) <= 1e-9 * (1.0 + abs(x_ref))
     return x_new
@@ -500,7 +513,8 @@ def test_envelope_argmin_kink_root_rounded_past():
     agg = _aggregate(5733, 0.0, (0.0, 0.001953125), rows, b)
     X, Y = Box(np.array([0.0]), np.array([10.25])), _duals([1.0])
     x = _check_against_bisection(agg, X, Y)
-    kink = Fraction(agg.t) * Fraction(agg.b_over_T[0]) / Fraction(agg.c_coef[0, 1])
+    _, G, _ = agg.envelope_rows()
+    kink = -Fraction(G[0, 2]) / Fraction(G[0, 1])
     assert Fraction(x) <= kink
 
 
@@ -533,9 +547,10 @@ def test_spftl_knapsack_round_certifies_once(monkeypatch):
 
 def test_knapsack_solve_rejects_infeasible_warm_start():
     inst = sec82_instance(50)
-    agg = KnapsackAggregate(inst.m, inst.b / inst.T, H=0.5)
+    agg = SumPayoff()
     r = QuadraticFn(-1.0, 10.0, 0.0)
-    agg.add(inst.lagrangian(r, [QuadraticFn(1.0, 50.0, 0.0), QuadraticFn(0.0, 1.0, 0.0)]))
+    reg = SquaredNormRegularizer(1.0)
+    agg.add(regularize(inst.lagrangian(r, [QuadraticFn(1.0, 50.0, 0.0), QuadraticFn(0.0, 1.0, 0.0)]), reg, reg, 0.5))
     Y = inst.dual_set()
     for warm in ((np.array([-1.0]), np.zeros(2)), (np.array([1.0]), Y.upper + 1.0)):
         with pytest.raises(ValueError):
@@ -713,7 +728,7 @@ def test_ocowk_run_matches_a_hand_loop_over_steps(name, budgets, emit_series):
     else:
         agent = SPFTLKnapsackAgent(inst, H=T ** (-1.0 / 6.0), solver=solver)
     env = KnapsackEnvironment(inst, seed)
-    raw_sum = KnapsackAggregate(inst.m, inst.b / inst.T, H=0.0)
+    raw_sum = SumPayoff()
     acc_x, acc_y = RestrictionAccumulator(), RestrictionAccumulator()
     cols = {
         k: []

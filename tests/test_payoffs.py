@@ -192,16 +192,19 @@ def test_sum_refuses_payoffs_without_closed_form_restrictions():
         make_bilinear(MP), SquaredNormRegularizer(1.0), SquaredNormRegularizer(1.0), 1.0
     )
     entropic = regularize(make_bilinear(MP), EntropyRegularizer(2), EntropyRegularizer(2), 1.0)
-    for parts in ([entropic_scalar], [lagrangian], [entropic, mixed_regs], [entropic, scalar]):
+    for parts in ([entropic_scalar], [entropic, mixed_regs], [entropic, scalar]):
         s = SumPayoff()
         with pytest.raises(TypeError):
             for p in parts:
                 s.add(p)
-    # the families it folds still combine
+    # the families it folds still combine; the knapsack Lagrangian gives rows
     s = SumPayoff()
     for p in (entropic, make_bilinear(MP), entropic):
         s.add(p)
     assert s.count == 3 and s.is_entropic_bilinear()
+    s = SumPayoff()
+    s.add(lagrangian)
+    assert s.count == 1 and s.envelope_rows() is not None
 
 
 def test_simplex_minimizer_requires_exact_isotropy():

@@ -6,12 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from osp_lab.geometry import Box, Simplex, interval
-from osp_lab.knapsack import KnapsackAggregate, KnapsackLagrangian, QuadraticFn
+from osp_lab.knapsack import KnapsackLagrangian, QuadraticFn
 from osp_lab.matrix_games import EntropyRegularizer
 from osp_lab.oracles import grid_matrix_game_2x2, grid_saddle_1d, random_feasible_point
 from osp_lab.payoffs import (
     PayoffFunction,
     SeparableQuadratic,
+    SquaredNormRegularizer,
+    SumPayoff,
     make_bilinear,
     make_quadratic_bilinear,
     make_scalar_convex_concave,
@@ -267,13 +269,15 @@ def _certified_case(draw):
         m = draw(st.integers(1, 3))
         H = draw(st.sampled_from((0.0, 0.5)))
         b_over_T = np.array([coef(0, 2) for _ in range(m)])
-        agg = KnapsackAggregate(m, b_over_T, H)
+        reg = SquaredNormRegularizer(2.0)
+        agg = SumPayoff()
         for _ in range(draw(st.integers(1, 3))):
-            agg.add(KnapsackLagrangian(
+            L = KnapsackLagrangian(
                 QuadraticFn(-coef(0, 2), coef(0, 2), 0.0),
                 [QuadraticFn(coef(0, 2), coef(0, 2), coef(0, 1)) for _ in range(m)],
                 b_over_T,
-            ))
+            )
+            agg.add(regularize(L, reg, reg, H) if H > 0.0 else L)
         X = Box(np.array([0.0]), np.array([coef(0, 2)]))
         Y = Box(np.zeros(m), np.array([coef(0, 2) for _ in range(m)]))
         return agg, X, Y
