@@ -197,15 +197,9 @@ def parse_config(text: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
-
-
 def write_summary_csv(path: Path, summary: dict) -> None:
     cols = list(summary.keys())
-    lines = [",".join(cols), ",".join(_csv_cell(summary[c]) for c in cols)]
+    lines = [",".join(cols), ",".join(_fmt(summary[c]) for c in cols)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -217,7 +211,7 @@ def write_series_csv(path: Path, runs) -> None:
         series = run.report.per_round_series
         n = len(series["t"])
         for k in range(n):
-            row = [str(run.seed)] + [_csv_cell(float(series[c][k])) for c in cols[1:]]
+            row = [str(run.seed)] + [_fmt(float(series[c][k])) for c in cols[1:]]
             lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -315,7 +309,7 @@ def cmd_run(config_path: str) -> int:
             write_svg(out.with_suffix(".svg"), result.runs)
     print(
         " ".join(
-            f"{k}={_csv_cell(v)}" for k, v in result.summary.items() if k != "wall_ms"
+            f"{k}={_fmt(v)}" for k, v in result.summary.items() if k != "wall_ms"
         )
     )
     exceeded = sum(r.budget_exceeded_rounds for r in result.runs)

@@ -420,10 +420,7 @@ def resolve_parameters(scenario: Scenario, algo: AlgorithmSpec) -> dict:
     name = algo.name
     if name not in ALGORITHM_IDS:
         raise ValueError(f"unknown algorithm {name!r}")
-    if name == "bandit_omg_rftl":
-        if scenario.kind != "omg":
-            raise IncompatiblePairingError("bandit runs need a matrix-game scenario")
-    elif name not in _ALLOWED.get(scenario.kind, set()):
+    if name not in _ALLOWED.get(scenario.kind, set()):
         raise IncompatiblePairingError(
             f"algorithm {name!r} cannot run on scenario kind {scenario.kind!r}"
         )

@@ -18,13 +18,14 @@ regularizers are squared norms, which fold into p's x^2 entry and into h.
 
 `SumPayoff` is the library's one running sum, of O(1) size so
 follow-the-leader style algorithms stay cheap over long horizons.  It holds
-either the summed rows (p, G, h) or a summed matrix with one weight per
-regularizer.
+either the summed rows (p, G, h) or a summed matrix with one regularizer
+slot per axis, and it builds every closed-form restriction the solver
+certifies with from that state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -448,7 +449,9 @@ class SquaredNormRegularizer(Regularizer):
 class RegularizedPayoff(PayoffFunction):
     """base + weight * reg_x(x) - weight * reg_y(y).
 
-    The stored Lipschitz constant is the conservative sum form
+    It has no restrictions of its own: its closed forms are read from the
+    `SumPayoff` that folds it, as the solver and ``gap_estimate`` do.  The
+    stored Lipschitz constant is the conservative sum form
     G_base + weight*(G_reg_x + G_reg_y).
     """
 
@@ -481,16 +484,6 @@ class RegularizedPayoff(PayoffFunction):
     def grad_y(self, x, y):
         return self.base.grad_y(x, y) - self.weight * self.reg_y.grad(y)
 
-    def restrict_x(self, y):
-        inner = self.base.restrict_x(y)
-        offset = -self.weight * self.reg_y.value(y)
-        return _attach_regularizer(inner, self.reg_x, self.weight, offset)
-
-    def restrict_y(self, x):
-        inner = self.base.restrict_y(x)
-        offset = self.weight * self.reg_x.value(x)
-        return _attach_regularizer(inner, self.reg_y, -self.weight, offset)
-
     def envelope_rows(self):
         """The base's rows with the weight added to p's x^2 entry and to h,
         when both regularizers are squared norms."""
@@ -499,27 +492,6 @@ class RegularizedPayoff(PayoffFunction):
             return None
         p, G, h = rows
         return np.array([p[0] + self.weight, p[1], p[2]]), G, h + self.weight
-
-
-def _attach_regularizer(inner, reg: Regularizer, signed_weight: float, offset: float):
-    """Fold weight*reg into a one-variable restriction, or bail to None."""
-    if inner is None:
-        return None
-    if reg.tag == "sqnorm" and isinstance(inner, SeparableQuadratic):
-        return SeparableQuadratic(
-            quad=inner.quad + signed_weight,
-            lin=inner.lin,
-            const=inner.const + offset,
-        )
-    if reg.tag == "entropy" and isinstance(inner, SeparableQuadratic) and np.all(
-        inner.quad == 0.0
-    ):
-        return LinearPlusEntropy(
-            lin=inner.lin,
-            ent_weight=signed_weight,
-            const=inner.const + offset + signed_weight * np.log(inner.lin.shape[0]),
-        )
-    return None
 
 
 def regularize(
@@ -536,19 +508,15 @@ def regularize(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _RegBucket:
-    reg: Regularizer
-    weight: float = 0.0
-
-
 class SumPayoff(PayoffFunction):
     """Incremental sum of payoffs in O(1) state: the summed coefficient rows
     (p, G, h) of payoffs that give rows (``envelope_rows``), or the summed
-    matrix of bilinear payoffs with one weight per squared-norm or entropy
-    regularizer.  A rows sum carries its squared norms inside the rows.
-    Every sum that `add` accepts restricts in closed form to a separable
-    quadratic or a linear-plus-entropy form."""
+    matrix of bilinear payoffs with one regularizer slot per axis: None or
+    (regularizer, summed weight) for one squared norm, of any radius, or
+    one entropy; another ``merge_key`` on the same axis is refused.  A rows
+    sum carries its squared norms in the rows and has no slots.  Every sum
+    that `add` accepts builds from this state its closed-form restrictions,
+    separable quadratics or linear-plus-entropy forms."""
 
     def __init__(self):
         self.count = 0
@@ -559,8 +527,8 @@ class SumPayoff(PayoffFunction):
         self._G: np.ndarray | None = None
         self._h = 0.0
         self._matrix: np.ndarray | None = None
-        self._regs_x: dict = {}
-        self._regs_y: dict = {}
+        self._reg_x: tuple[Regularizer, float] | None = None
+        self._reg_y: tuple[Regularizer, float] | None = None
 
     def add(self, payoff: PayoffFunction) -> None:
         """Fold one payoff into the sum.
@@ -590,8 +558,9 @@ class SumPayoff(PayoffFunction):
                 self._h += h
         elif isinstance(payoff, RegularizedPayoff):
             self._add_part(payoff.base)
-            self._bump_reg(self._regs_x, payoff.reg_x, payoff.weight)
-            self._bump_reg(self._regs_y, payoff.reg_y, payoff.weight)
+            self._reg_x = _merged(self._reg_x, payoff.reg_x, payoff.weight)
+            self._reg_y = _merged(self._reg_y, payoff.reg_y, payoff.weight)
+            self._require_closed_form()
         elif isinstance(payoff, BilinearPayoff):
             if self._matrix is None:
                 self._matrix = payoff.A.copy()
@@ -601,41 +570,24 @@ class SumPayoff(PayoffFunction):
         else:
             raise TypeError(f"SumPayoff folds no {type(payoff).__name__}")
 
-    def _bump_reg(self, bucket: dict, reg: Regularizer, weight: float) -> None:
-        key = reg.merge_key()
-        if key not in bucket:
-            bucket[key] = _RegBucket(reg)
-            self._require_closed_form()
-        bucket[key].weight += weight
-
     def _require_closed_form(self) -> None:
-        """Both restrictions have closed forms while the sum is rows alone,
-        or a matrix whose regularizers are squared norms or entropies, with
-        an entropy alone on its axis."""
-        if self._p is not None and (self._matrix is not None or self._regs_x or self._regs_y):
+        """A rows sum takes no matrix and no slot (``_merged`` checks slots)."""
+        if self._p is not None and (self._matrix is not None or self._reg_x is not None or self._reg_y is not None):
             raise TypeError(
                 "a coefficient-row sum takes no matrix and no regularizer "
                 "other than squared norms folded into its rows"
             )
-        for bucket in (self._regs_x, self._regs_y):
-            tags = [b.reg.tag for b in bucket.values()]
-            if any(tag not in ("sqnorm", "entropy") for tag in tags) or ("entropy" in tags and len(tags) > 1):
-                raise TypeError(f"no closed-form restriction for regularizers {tags}")
 
     # -- evaluation ---------------------------------------------------------
 
     def value(self, x, y):
         if self._p is not None:
-            v = _powers(x)
+            v = powers(x)
             return float(self._p @ v) + float(y @ (self._G @ v)) - self._h * float(y @ y)
         total = 0.0
         if self._matrix is not None:
             total += float(x @ self._matrix @ y)
-        for b in self._regs_x.values():
-            total += b.weight * b.reg.value(x)
-        for b in self._regs_y.values():
-            total -= b.weight * b.reg.value(y)
-        return total
+        return total + _slot_value(self._reg_x, x) - _slot_value(self._reg_y, y)
 
     def grad_x(self, x, y):
         if self._p is not None:
@@ -644,43 +596,37 @@ class SumPayoff(PayoffFunction):
         g = np.zeros_like(np.asarray(x, dtype=float))
         if self._matrix is not None:
             g = g + self._matrix @ y
-        for b in self._regs_x.values():
-            g = g + b.weight * b.reg.grad(x)
+        if self._reg_x is not None:
+            g = g + self._reg_x[1] * self._reg_x[0].grad(x)
         return g
 
     def grad_y(self, x, y):
         if self._p is not None:
-            return self._G @ _powers(x) - 2.0 * self._h * np.asarray(y)
+            return self._G @ powers(x) - 2.0 * self._h * np.asarray(y)
         g = np.zeros_like(np.asarray(y, dtype=float))
         if self._matrix is not None:
             g = g + self._matrix.T @ x
-        for b in self._regs_y.values():
-            g = g - b.weight * b.reg.grad(y)
+        if self._reg_y is not None:
+            g = g - self._reg_y[1] * self._reg_y[0].grad(y)
         return g
 
     # -- structure hints for the solver --------------------------------------
 
-    def reg_weight(self, axis: str, tag: str) -> float:
-        bucket = self._regs_x if axis == "x" else self._regs_y
-        return sum(b.weight for b in bucket.values() if b.reg.tag == tag)
-
     @property
     def entropy_weight_x(self) -> float:
-        return self.reg_weight("x", "entropy")
+        return _entropy_weight(self._reg_x)
 
     @property
     def entropy_weight_y(self) -> float:
-        return self.reg_weight("y", "entropy")
+        return _entropy_weight(self._reg_y)
 
     def is_pure_bilinear(self) -> bool:
-        return self._matrix is not None and not self._regs_x and not self._regs_y
+        return self._matrix is not None and self._reg_x is None and self._reg_y is None
 
     def is_entropic_bilinear(self) -> bool:
         """Bilinear smooth part + entropy regularization only."""
-        return (
-            self._matrix is not None
-            and all(b.reg.tag == "entropy" for b in self._regs_x.values())
-            and all(b.reg.tag == "entropy" for b in self._regs_y.values())
+        return self._matrix is not None and all(
+            slot is None or slot[0].tag == "entropy" for slot in (self._reg_x, self._reg_y)
         )
 
     @property
@@ -706,28 +652,53 @@ class SumPayoff(PayoffFunction):
             )
         if self._matrix is None:  # empty sum
             return None
-        out = SeparableQuadratic(np.zeros(self._matrix.shape[0]), self._matrix @ y, 0.0)
-        offset = -sum(b.weight * b.reg.value(y) for b in self._regs_y.values())
-        for b in self._regs_x.values():
-            out = _attach_regularizer(out, b.reg, b.weight, 0.0)
-        out.const += offset
-        return out
+        # 0.0 - v, not -v: an empty y slot leaves the constant +0.0
+        return _slot_restriction(self._reg_x, 1.0, self._matrix @ y, 0.0 - _slot_value(self._reg_y, y))
 
     def restrict_y(self, x):
         if self._p is not None:
-            v = _powers(x)
+            v = powers(x)
             return SeparableQuadratic(np.full(self._G.shape[0], -self._h), self._G @ v, float(self._p @ v))
         if self._matrix is None:  # empty sum
             return None
-        out = SeparableQuadratic(np.zeros(self._matrix.shape[1]), self._matrix.T @ x, 0.0)
-        offset = sum(b.weight * b.reg.value(x) for b in self._regs_x.values())
-        for b in self._regs_y.values():
-            out = _attach_regularizer(out, b.reg, -b.weight, 0.0)
-        out.const += offset
-        return out
+        return _slot_restriction(self._reg_y, -1.0, self._matrix.T @ x, _slot_value(self._reg_x, x))
 
 
-def _powers(x) -> np.ndarray:
+def _merged(slot, reg: Regularizer, weight: float):
+    """The slot (regularizer, summed weight) with weight * reg added.  A
+    first regularizer fills an empty slot if it is a squared norm or an
+    entropy; a later one must share the slot's ``merge_key``."""
+    if slot is None:
+        if reg.tag not in ("sqnorm", "entropy"):
+            raise TypeError(f"no closed-form restriction for a {reg.tag!r} regularizer")
+        return reg, weight
+    if reg.merge_key() != slot[0].merge_key():
+        raise TypeError(f"no closed-form restriction for regularizers {slot[0].merge_key()} and {reg.merge_key()} on one axis")
+    return slot[0], slot[1] + weight
+
+
+def _slot_value(slot, z) -> float:
+    """w * R(z) for the slot (R, w), 0.0 for an empty slot."""
+    return 0.0 if slot is None else slot[1] * slot[0].value(z)
+
+
+def _entropy_weight(slot) -> float:
+    return slot[1] if slot is not None and slot[0].tag == "entropy" else 0.0
+
+
+def _slot_restriction(slot, sign: float, lin: np.ndarray, const: float):
+    """lin . z + const + sign * w * R(z) for the slot (R, w); an entropy's
+    R(z) = sum z ln z + ln d puts sign * w * ln d in the constant."""
+    n = lin.shape[0]
+    if slot is None:
+        return SeparableQuadratic(np.zeros(n), lin, const)
+    reg, w = slot
+    if reg.tag == "sqnorm":
+        return SeparableQuadratic(np.full(n, sign * w), lin, const)
+    return LinearPlusEntropy(lin, sign * w, const + sign * w * np.log(n))
+
+
+def powers(x) -> np.ndarray:
     """(x^2, x, 1) of a 1-D action x, the basis of coefficient rows."""
     xv = float(x[0])
     return np.array([xv * xv, xv, 1.0])

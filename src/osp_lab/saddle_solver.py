@@ -6,8 +6,9 @@ solution carries a duality gap certified by two exact one-sided inner
 optimizations: every payoff the solver accepts restricts in closed form to
 a separable quadratic or a linear-plus-entropy form (see ``payoffs``), and
 ``gap_estimate`` refuses any other with a ``TypeError``.  ``solve_saddle``
-folds a single payoff into a one-term `SumPayoff`, the library's one running
-sum, and reads every structure hint from the sum.
+and ``gap_estimate`` fold a single payoff into a one-term `SumPayoff`, the
+library's one running sum, and read every structure hint and every
+restriction from the sum.
 
 ``solve_saddle`` tries its paths in a fixed order and returns from the
 first one that produces a pair certified to ``tol_gap``; only the
@@ -19,11 +20,12 @@ spent iteration budget.  Each solution names its path in ``path``:
    x (``envelope_argmin``) for a payoff that gives its coefficient rows
    (``envelope_rows``): sums of scalar quadratics or of knapsack
    Lagrangians, with squared-norm regularizers or none, paired with the
-   inner maximizer or, at a kink, the dual that balances the x-gradient;
+   inner maximizer or, at a kink, the dual that balances the x-gradient,
+   read off the rows (``_stationary_y_candidates``);
 3. ``warm_accept``: an already-converged warm start;
 4. ``newton``: equality-constrained Newton on the entropy-smoothed envelope
    of a bilinear-plus-entropy sum over simplexes with both entropy weights
-   positive and d >= 3 (``_entropic_newton_path``);
+   positive, at every dimension (``_entropic_newton_path``);
 5. ``lp``: the simplex method on a pure bilinear sum over two
    simplexes, floored or not (``solve_matrix_game_lp``);
 6. mirror-prox (Nemirovski 2004, ``_mirror_prox``), one loop with two prox
@@ -35,10 +37,7 @@ spent iteration budget.  Each solution names its path in ``path``:
 
 The envelope root, Newton and the LP are exact up to rounding, so their
 gaps sit near 1e-13; a pair they cannot certify (a binding x floor for
-Newton, the pivot cap for the LP) falls through to mirror-prox.  At d = 2
-the entropic sums stay on mirror-prox: there the generic Newton costs more
-per round than the few mirror-prox iterations it saves, so d = 2 waits for
-a scalar Newton on the one free coordinate.
+Newton, the pivot cap for the LP) falls through to mirror-prox.
 
 A KL prox step is the water-filling of exponential weights normalized to
 max 1 (``payoffs.waterfill``, which also serves the certificates' entropic
@@ -69,6 +68,7 @@ from .payoffs import (
     SumPayoff,
     entropy_tilted_argopt,
     negentropy,
+    powers,
     waterfill,
 )
 
@@ -144,11 +144,12 @@ def gap_estimate(
 ) -> float:
     """max_{y' in Y} f(x, y') - min_{x' in X} f(x', y), clamped at zero.
 
-    Each side is the exact optimum of f's closed-form restriction; a payoff
-    without one raises TypeError.
+    Each side is the exact optimum of a closed-form restriction of f, folded
+    into a `SumPayoff` (``_as_sum``); a payoff without one raises TypeError.
     """
     if not X.contains(x, 1e-9) or not Y.contains(y, 1e-9):
         raise ValueError("gap_estimate requires a feasible (x, y)")
+    f = _as_sum(f)
     ry = f.restrict_y(x)
     rx = f.restrict_x(y)
     if ry is None or rx is None:
@@ -471,7 +472,7 @@ def _entropic_newton_path(f: SumPayoff, X, Y, x0, cfg: SolverConfig) -> SaddleSo
     search stalls, or after NEWTON_MAX_STEPS steps.
     """
     bx, by = f.entropy_weight_x, f.entropy_weight_y
-    if bx <= 0.0 or by <= 0.0 or min(X.dimension, Y.dimension) < 3:
+    if bx <= 0.0 or by <= 0.0:
         return None
     S = f.matrix
     theta_x, theta_y = X.theta, Y.theta
@@ -655,38 +656,36 @@ def _quadratic_roots_inside(a2: float, a1: float, a0: float, lo: float, hi: floa
     return [r for r in roots if lo < r < hi]
 
 
-def _stationary_y_candidates(f, X, Y: Box, x_star, y_hat):
-    """Candidate duals paired with the envelope minimizer.
+def _stationary_y_candidates(rows, x_star, y_hat, Y: Box):
+    """Candidate duals paired with the envelope minimizer x_star of the
+    coefficient rows (p, G, h).
 
     The inner argmax y_hat is exact in value but, when f is linear in y,
-    sits on a vertex of the optimal face; sliding the free coordinates to
-    zero the x-gradient recovers an interior saddle dual when one exists.
+    sits on a vertex of the optimal face.  grad_x is affine in y, with slope
+    2 G[i, 0] x + G[i, 1] in y_i; filling the free coordinates (grad_y = 0)
+    from their lower bounds along these slopes zeroes it, which recovers an
+    interior saddle dual whenever the box allows one.
     """
-    yield np.asarray(y_hat, dtype=float)
-    if Y.dimension > 8:
-        return
-    gy = f.grad_y(x_star, y_hat)
-    upper, lower = Y.upper, Y.lower
+    yield y_hat
+    p, G, h = rows
+    xv = float(x_star[0])
+    gy = G @ powers(x_star) - 2.0 * h * y_hat
     free = np.abs(gy) <= 1e-9 * (1.0 + np.abs(gy).max())
     if not free.any():
         return
-    base = float(f.grad_x(x_star, np.where(free, lower, np.asarray(y_hat)))[0])
-    y0 = np.where(free, lower, np.asarray(y_hat, dtype=float))
-    # fill free coordinates one at a time to drive grad_x toward zero
-    y_fill = y0.copy()
-    resid = base
+    lower, upper = Y.lower, Y.upper
+    slope = 2.0 * G[:, 0] * xv + G[:, 1]
+    y = np.where(free, lower, y_hat)
+    resid = 2.0 * p[0] * xv + p[1] + float(y @ slope)
     for i in np.flatnonzero(free):
-        probe = y_fill.copy()
-        probe[i] = upper[i]
-        k = (float(f.grad_x(x_star, probe)[0]) - resid) / max(upper[i] - lower[i], 1e-300)
+        k = float(slope[i])
         if abs(k) < 1e-300:
             continue
-        target = np.clip(lower[i] - resid / k, lower[i], upper[i])
-        y_fill[i] = target
-        resid += k * (target - lower[i])
+        y[i] = min(max(lower[i] - resid / k, lower[i]), upper[i])
+        resid += k * (y[i] - lower[i])
         if abs(resid) < 1e-12:
             break
-    yield y_fill
+    yield y
 
 
 def solve_saddle(
@@ -736,7 +735,7 @@ def solve_saddle(
     if rows is not None:
         x = np.array([envelope_argmin(*rows, X, Y)])
         _, y_hat = f.restrict_y(x).maximize_over(Y)
-        for y in _stationary_y_candidates(f, X, Y, x, y_hat):
+        for y in _stationary_y_candidates(rows, x, y_hat, Y):
             g = gap_estimate(f, X, Y, x, y)
             if g <= cfg.tol_gap:
                 return SaddleSolution(x, y, f.value(x, y), g, 0, "envelope")

@@ -147,6 +147,7 @@ def test_cmd_run_solver_budget_exit_reports_max_gap(tmp_path, capsys):
     conf = tmp_path / "budget.conf"
     conf.write_text(
         "scenario.generator = random_bilinear\nscenario.T = 5\nscenario.seed = 0\n"
+        "scenario.d1 = 3\nscenario.d2 = 3\n"
         "algorithm.name = omg_rftl\nalgorithm.max_iters = 1\nalgorithm.tol_gap = 1e-14\n"
         f"algorithm.hindsight_tol = 1e-3\nseeds.count = 1\noutput.path = {out}\n"
     )

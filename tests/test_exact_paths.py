@@ -230,19 +230,23 @@ def test_newton_from_a_near_vertex_warm_start():
     assert sol.x_star[0] > 0.5
 
 
-def test_binding_x_floor_falls_back_certified():
+def _binding_x_floor():
     # row 0 loses against every column, so the minimizer drives x_0 to its floor
     d, theta = 4, 0.15
     A = np.array([[1.0] * 4, [1.0, -1.0, 1.0, -1.0], [-1.0, 1.0, -1.0, 1.0], [0.0] * 4])
-    X = Y = Simplex(d, theta)
     reg = EntropyRegularizer(d, theta)
     f = SumPayoff()
     f.add(regularize(make_bilinear(A), reg, reg, 0.05))
+    return f, Simplex(d, theta), Simplex(d, theta)
+
+
+def test_binding_x_floor_falls_back_certified():
+    f, X, Y = _binding_x_floor()
     cfg = SolverConfig(tol_gap=1e-8)
     assert saddle_solver._entropic_newton_path(f, X, Y, X.uniform(), cfg) is None
     sol = solve_saddle(f, X, Y, cfg)
     assert sol.path == "mirror_prox" and sol.gap <= cfg.tol_gap
-    assert sol.x_star[0] == theta
+    assert sol.x_star[0] == X.theta
 
 
 def test_newton_reruns_are_bitwise_identical():
@@ -302,7 +306,8 @@ PATH_CASES = {
     "warm_accept": _warm_accept,
     "newton": lambda: _entropic(5, 1e-9, 0.3),
     "lp": lambda: (make_bilinear(np.random.default_rng(2).uniform(-1, 1, (4, 3))), Simplex(4), Simplex(3)),
-    "mirror_prox": lambda: _entropic(2, 0.1, 1.0),
+    # an x floor binds, so Newton gives way to the fallback
+    "mirror_prox": _binding_x_floor,
     "extragradient": _sqnorm_bilinear,
 }
 

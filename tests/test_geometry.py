@@ -9,7 +9,9 @@ from osp_lab.geometry import (
     interval,
     project_simplex,
 )
-from osp_lab.oracles import grid_simplex_projection_3d, random_feasible_point
+from osp_lab.oracles import grid_simplex_projection_3d
+
+from brute_oracles import random_feasible_point
 
 
 def test_contains_examples():

@@ -13,13 +13,11 @@ from osp_lab.matrix_games import (
     one_point_estimate,
     sample_from_distribution,
 )
-from osp_lab.oracles import (
-    enumerate_estimator_expectation,
-    grid_entropic_game_2x2,
-    random_feasible_point,
-)
+from osp_lab.oracles import enumerate_estimator_expectation
 from osp_lab.payoffs import make_bilinear
 from osp_lab.saddle_solver import SolverConfig, hindsight_value
+
+from brute_oracles import grid_entropic_game_2x2, random_feasible_point
 
 MP = np.array([[1.0, -1.0], [-1.0, 1.0]])
 

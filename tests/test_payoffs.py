@@ -4,8 +4,8 @@ import pytest
 from osp_lab.geometry import Box, Simplex
 from osp_lab.knapsack import QuadraticFn, sec82_instance
 from osp_lab.matrix_games import EntropyRegularizer
-from osp_lab.oracles import finite_difference_grads, random_feasible_point
 from osp_lab.payoffs import (
+    Regularizer,
     SeparableQuadratic,
     SquaredNormRegularizer,
     SumPayoff,
@@ -15,6 +15,8 @@ from osp_lab.payoffs import (
     make_scalar_convex_concave,
     regularize,
 )
+
+from brute_oracles import finite_difference_grads, random_feasible_point
 
 MP = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -183,16 +185,39 @@ def test_sum_payoff_regularized_bilinear_bookkeeping():
     assert abs(sp.value(x, y) - explicit) < 1e-12
 
 
+class _Quartic(Regularizer):
+    """sum z^4: strongly convex enough, but with no closed-form restriction."""
+
+    def value(self, z):
+        return float(np.sum(np.asarray(z) ** 4))
+
+    def grad(self, z):
+        return 4.0 * np.asarray(z) ** 3
+
+
 def test_sum_refuses_payoffs_without_closed_form_restrictions():
     scalar = make_quadratic_bilinear(1.0, 1.0, 0.0, 0.0)
+    sq, ent2, quartic = SquaredNormRegularizer(1.0), EntropyRegularizer(2), _Quartic()
     entropic_scalar = regularize(scalar, EntropyRegularizer(1), EntropyRegularizer(1), 1.0)
     r, c = QuadraticFn(-1.0, 5.0), [QuadraticFn(1.0, 50.0), QuadraticFn(0.0, 1.0)]
     lagrangian = sec82_instance(10).lagrangian(r, c)
-    mixed_regs = regularize(
-        make_bilinear(MP), SquaredNormRegularizer(1.0), SquaredNormRegularizer(1.0), 1.0
+    mixed_regs = regularize(make_bilinear(MP), sq, sq, 1.0)
+    entropic = regularize(make_bilinear(MP), ent2, ent2, 1.0)
+    refused = (
+        [entropic_scalar],
+        [entropic, mixed_regs],
+        [entropic, scalar],
+        # one regularizer slot per axis: a second kind on the y axis alone,
+        # an entropy of another d, a tag other than sqnorm and entropy
+        [entropic, regularize(make_bilinear(MP), ent2, sq, 1.0)],
+        [entropic, regularize(make_bilinear(MP), EntropyRegularizer(3), ent2, 1.0)],
+        [regularize(make_bilinear(MP), quartic, sq, 1.0)],
+        [mixed_regs, regularize(make_bilinear(MP), sq, quartic, 1.0)],
+        # a rows sum keeps no slot: only squared norms on both axes fold
+        [regularize(scalar, sq, EntropyRegularizer(1), 1.0)],
+        [regularize(lagrangian, quartic, sq, 1.0)],
     )
-    entropic = regularize(make_bilinear(MP), EntropyRegularizer(2), EntropyRegularizer(2), 1.0)
-    for parts in ([entropic_scalar], [entropic, mixed_regs], [entropic, scalar]):
+    for parts in refused:
         s = SumPayoff()
         with pytest.raises(TypeError):
             for p in parts:

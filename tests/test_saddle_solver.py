@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from osp_lab.geometry import Box, Simplex, interval
 from osp_lab.knapsack import KnapsackLagrangian, QuadraticFn
 from osp_lab.matrix_games import EntropyRegularizer
-from osp_lab.oracles import grid_matrix_game_2x2, grid_saddle_1d, random_feasible_point
+from osp_lab.oracles import grid_matrix_game_2x2, grid_saddle_1d
 from osp_lab.payoffs import (
     PayoffFunction,
     SeparableQuadratic,
@@ -27,6 +27,8 @@ from osp_lab.saddle_solver import (
     solve_matrix_game_2x2,
     solve_saddle,
 )
+
+from brute_oracles import random_feasible_point
 
 MP = np.array([[1.0, -1.0], [-1.0, 1.0]])
 BOX10 = Box(np.array([-10.0]), np.array([10.0]))
