@@ -27,8 +27,6 @@ from .metrics_harness import (
     IncompatiblePairingError,
     ScenarioSpec,
     default_workers,
-    generate_scenario,
-    resolve_parameters,
     run_experiment,
 )
 from .payoffs import make_bilinear, make_quadratic_bilinear, regularize

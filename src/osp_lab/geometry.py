@@ -97,13 +97,17 @@ class Box(FeasibleSet):
         object.__setattr__(self, "upper", hi)
         object.__setattr__(self, "dimension", lo.shape[0])
 
+    # The kernels call the ufuncs directly: np.all and np.clip route through
+    # Python wrappers that cost more than the arithmetic on small boxes.
+    # minimum(maximum(z, lower), upper) has the bits of np.clip, also on
+    # signed zeros, infinities and NaN.
     def contains(self, z, tol=DEFAULT_MEMBERSHIP_TOL):
         z = self._check_dim(z)
-        return bool(np.all(z >= self.lower - tol) and np.all(z <= self.upper + tol))
+        return bool(np.logical_and.reduce(z >= self.lower - tol)) and bool(np.logical_and.reduce(z <= self.upper + tol))
 
     def project(self, z):
         z = self._check_dim(z)
-        return np.clip(z, self.lower, self.upper)
+        return np.minimum(np.maximum(z, self.lower), self.upper)
 
     def diameter(self):
         return float(np.linalg.norm(self.upper - self.lower))

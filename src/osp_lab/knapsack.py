@@ -27,8 +27,9 @@ by H x^2 - H ||y||^2, which makes it ``osp_algorithms.SPRFTL`` with
 squared-norm regularizers of weight H; it only constructs.  Each of its
 rounds, the r* solve on the expected functions' Lagrangian and every
 hindsight solve go through the solver's one exact 1-D path,
-``saddle_solver.envelope_argmin``.  PD-RFTL takes gradient steps and has its
-own ``step``.
+``saddle_solver.envelope_argmin``, and are certified from the summed rows in
+O(m) arithmetic (``saddle_solver.gap_estimate``).  PD-RFTL takes gradient
+steps and has its own ``step``: two box projections a round.
 """
 
 from __future__ import annotations

@@ -60,7 +60,6 @@ from .payoffs import (
     SumPayoff,
     make_bilinear,
     make_quadratic_bilinear,
-    make_scalar_convex_concave,
 )
 from .saddle_solver import SolverConfig, hindsight_value, solve_saddle
 

@@ -3,12 +3,16 @@
 The per-round subproblems of follow-the-leader style algorithms are
 min-max problems over products of compact convex sets.  Every returned
 solution carries a duality gap certified by two exact one-sided inner
-optimizations: every payoff the solver accepts restricts in closed form to
-a separable quadratic or a linear-plus-entropy form (see ``payoffs``), and
-``gap_estimate`` refuses any other with a ``TypeError``.  ``solve_saddle``
-and ``gap_estimate`` fold a single payoff into a one-term `SumPayoff`, the
-library's one running sum, and read every structure hint and every
-restriction from the sum.
+optimizations (``gap_estimate``).  A sum of coefficient rows (p, G, h)
+computes both straight from its rows in O(m) arithmetic, with the inner
+argmax that the envelope path also pairs with its x (``_rows_argmax_y``);
+every other payoff the solver accepts restricts in closed form to a
+separable quadratic or a linear-plus-entropy form (see ``payoffs``), and
+``gap_estimate`` refuses any other with a ``TypeError``.  Both forms refuse
+a pair outside the sets by more than 1e-9 with a ``ValueError``.
+``solve_saddle`` and ``gap_estimate`` fold a single payoff into a one-term
+`SumPayoff`, the library's one running sum, and read every structure hint
+and every restriction from the sum.
 
 ``solve_saddle`` tries its paths in a fixed order and returns from the
 first one that produces a pair certified to ``tol_gap``; only the
@@ -144,12 +148,19 @@ def gap_estimate(
 ) -> float:
     """max_{y' in Y} f(x, y') - min_{x' in X} f(x', y), clamped at zero.
 
-    Each side is the exact optimum of a closed-form restriction of f, folded
-    into a `SumPayoff` (``_as_sum``); a payoff without one raises TypeError.
+    f is folded into a `SumPayoff` (``_as_sum``).  A sum of coefficient rows
+    (p, G, h), over a 1-D box X and a box Y as on the envelope path, is
+    certified straight from its rows in O(m) arithmetic (``_rows_gap``).
+    Every other sum takes each side as the exact optimum of its closed-form
+    restriction; a payoff without one raises TypeError.  Both forms raise
+    ValueError on a pair outside X x Y by more than 1e-9.
     """
+    f = _as_sum(f)
+    rows = f.envelope_rows()
+    if rows is not None:
+        return _rows_gap(rows, X, Y, x, y)
     if not X.contains(x, 1e-9) or not Y.contains(y, 1e-9):
         raise ValueError("gap_estimate requires a feasible (x, y)")
-    f = _as_sum(f)
     ry = f.restrict_y(x)
     rx = f.restrict_x(y)
     if ry is None or rx is None:
@@ -157,6 +168,58 @@ def gap_estimate(
     upper, _ = ry.maximize_over(Y)
     lower, _ = rx.minimize_over(X)
     return max(float(upper - lower), 0.0)
+
+
+def _rows_argmax_y(G: np.ndarray, h: float, v: np.ndarray, Y: Box) -> tuple[np.ndarray, np.ndarray]:
+    """(a, y): the y-slopes a = G v of the rows at v = (x^2, x, 1), and the
+    maximizer y over the box Y of y . a - h ||y||^2.
+
+    For h > 0 that is clip(a / 2h), for h = 0 the bound
+    ``Box.maximize_linear`` picks: the lower one where a <= 0.  The vertex
+    is divided in Python floats, which give the bits of numpy's division
+    and return +-inf where a subnormal h overflows it, with no
+    RuntimeWarning; the clip then takes the bound.
+    """
+    a = G @ v
+    if h > 0.0:
+        h2 = 2.0 * h
+        vertex = np.array([ai / h2 for ai in a.tolist()])
+        return a, np.minimum(np.maximum(vertex, Y.lower), Y.upper)
+    return a, np.where(a <= 0.0, Y.lower, Y.upper)
+
+
+def _rows_gap(rows, X: Box, Y: Box, x: np.ndarray, y: np.ndarray) -> float:
+    """The certificate of f = p(x) + sum_i y_i g_i(x) - h ||y||^2 at (x, y),
+    in O(m) arithmetic on the rows.
+
+    upper = p.v + sum_i (y_i a_i - h y_i^2) at the inner argmax
+    (``_rows_argmax_y``).  lower is the minimum over the interval X of the
+    scalar quadratic (p + y^T G) . v - h ||y||^2: at its clipped vertex, or,
+    when it is linear, at the bound ``Box.minimize_linear`` picks.
+    """
+    x, y = X._check_dim(x), Y._check_dim(y)
+    xv = float(x[0])
+    x_lo, x_hi = float(X.lower[0]), float(X.upper[0])
+    ys = y.tolist()
+    if not (
+        x_lo - 1e-9 <= xv <= x_hi + 1e-9
+        and all(lo - 1e-9 <= yi <= hi + 1e-9 for yi, lo, hi in zip(ys, Y.lower.tolist(), Y.upper.tolist()))
+    ):
+        raise ValueError("gap_estimate requires a feasible (x, y)")
+    p, G, h = rows
+    a, y_hat = _rows_argmax_y(G, h, powers(x), Y)
+    p2, p1, p0 = map(float, p)
+    upper = (p2 * xv + p1) * xv + p0 + sum(yi * (ai - h * yi) for yi, ai in zip(y_hat.tolist(), a.tolist()))
+    g2, g1, g0 = (y @ G).tolist()
+    c2, c1, c0 = p2 + g2, p1 + g1, p0 + g0 - h * sum(yi * yi for yi in ys)
+    if c2 < 0.0:
+        raise ValueError("minimize requires a convex (quad >= 0) restriction")
+    if c2 == 0.0:
+        xm = x_lo if c1 >= 0.0 else x_hi
+    else:
+        xm = min(max(-c1 / (2.0 * c2), x_lo), x_hi)
+    lower = (c2 * xm + c1) * xm + c0
+    return max(upper - lower, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +797,7 @@ def solve_saddle(
     rows = f.envelope_rows()
     if rows is not None:
         x = np.array([envelope_argmin(*rows, X, Y)])
-        _, y_hat = f.restrict_y(x).maximize_over(Y)
+        _, y_hat = _rows_argmax_y(rows[1], rows[2], powers(x), Y)
         for y in _stationary_y_candidates(rows, x, y_hat, Y):
             g = gap_estimate(f, X, Y, x, y)
             if g <= cfg.tol_gap:

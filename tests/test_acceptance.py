@@ -13,7 +13,7 @@ import pytest
 
 from osp_lab.cli import cmd_oracle_check
 from osp_lab.geometry import Simplex
-from osp_lab.knapsack import benchmark_r_star, reward_lower_bound, sec82_instance, theorem8_steps
+from osp_lab.knapsack import benchmark_r_star, reward_lower_bound, sec82_instance
 from osp_lab.metrics_harness import (
     AlgorithmSpec,
     ScenarioSpec,

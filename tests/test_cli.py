@@ -1,8 +1,6 @@
 import subprocess
 import sys
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 from osp_lab.cli import (

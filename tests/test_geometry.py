@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,3 +200,48 @@ def test_projection_properties(dset, data, scale, seed):
     # a point already inside stays put
     inside = _feasible(dset, rng)
     assert np.abs(dset.project(inside) - inside).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Box kernels: the ufunc forms keep the answers of np.clip and np.all
+# ---------------------------------------------------------------------------
+
+_SPECIAL = (0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan)
+
+
+def _box_triples():
+    """Every (z, lower, upper) over the special values that Box accepts
+    (no lower > upper; NaN bounds compare false, so Box takes them)."""
+    return [t for t in itertools.product(_SPECIAL, repeat=3) if not t[1] > t[2]]
+
+
+def test_box_project_has_the_bits_of_clip():
+    z, lo, hi = (np.array(c) for c in zip(*_box_triples()))
+    assert Box(lo, hi).project(z).tobytes() == np.clip(z, lo, hi).tobytes()
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        d = int(rng.integers(1, 9))
+        lo = rng.normal(size=d)
+        hi = lo + rng.exponential(size=d) * (rng.random(d) < 0.7)  # some lo == hi
+        z = rng.normal(scale=2.0, size=d)
+        assert Box(lo, hi).project(z).tobytes() == np.clip(z, lo, hi).tobytes()
+
+
+def test_box_contains_keeps_its_answers_at_the_tolerance():
+    def reference(box, z, tol):
+        return bool(np.all(z >= box.lower - tol) and np.all(z <= box.upper + tol))
+
+    box = Box(np.array([-1.0, 0.0]), np.array([1.0, 0.0]))
+    for tol in (0.0, 1e-9):
+        edges = (-1.0 - tol, 1.0 + tol, -tol, tol)
+        values = {v for e in edges for v in (e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf))}
+        values |= set(_SPECIAL)
+        answers = set()
+        for z0, z1 in itertools.product(sorted(values, key=repr), repeat=2):
+            z = np.array([z0, z1])
+            answers.add(box.contains(z, tol))
+            assert box.contains(z, tol) is reference(box, z, tol), (z, tol)
+        assert answers == {True, False}
+    for z, lo, hi in _box_triples():
+        special = Box(np.array([lo]), np.array([hi]))
+        assert special.contains(np.array([z])) is reference(special, np.array([z]), 1e-9)

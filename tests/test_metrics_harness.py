@@ -16,8 +16,8 @@ from osp_lab.metrics_harness import (
     run_experiment,
     run_single,
 )
-from osp_lab.payoffs import make_bilinear, make_quadratic_bilinear, make_scalar_convex_concave
-from osp_lab.saddle_solver import SolverConfig, hindsight_value
+from osp_lab.payoffs import make_bilinear, make_quadratic_bilinear
+from osp_lab.saddle_solver import SolverConfig
 
 MP = np.array([[1.0, -1.0], [-1.0, 1.0]])
 BOX1 = Box(np.array([-1.0]), np.array([1.0]))

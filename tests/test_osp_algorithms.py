@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from osp_lab.geometry import Box, Simplex, interval
+from osp_lab.geometry import Box, Simplex
 from osp_lab.osp_algorithms import (
     OGDA,
     OGDAConfig,
@@ -16,7 +16,7 @@ from osp_lab.payoffs import (
     make_bilinear,
     make_quadratic_bilinear,
 )
-from osp_lab.saddle_solver import SolverConfig, assemble_sum, hindsight_value, solve_saddle
+from osp_lab.saddle_solver import SolverConfig, hindsight_value
 
 BOX1 = Box(np.array([-1.0]), np.array([1.0]))
 BOX10 = Box(np.array([-10.0]), np.array([10.0]))
