@@ -151,7 +151,7 @@ class Simplex(FeasibleSet):
 
     def contains(self, z, tol=DEFAULT_MEMBERSHIP_TOL):
         z = self._check_dim(z)
-        return bool(np.all(z >= self.theta - tol) and abs(float(z.sum()) - 1.0) <= tol)
+        return bool(np.logical_and.reduce(z >= self.theta - tol)) and abs(float(np.add.reduce(z)) - 1.0) <= tol
 
     def project(self, z):
         z = self._check_dim(z)

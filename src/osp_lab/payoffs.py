@@ -33,8 +33,14 @@ from .geometry import Box, FeasibleSet, Simplex
 
 
 def negentropy(z: np.ndarray) -> float:
-    """sum z_i ln z_i with the 0 ln 0 = 0 convention."""
+    """sum z_i ln z_i over a vector z, with the 0 ln 0 = 0 convention.
+
+    A positive z takes one pass on bare ufunc reductions; z[pos] would be a
+    contiguous copy of z, so the masked form gives the same bits.
+    """
     z = np.asarray(z, dtype=float)
+    if z.size and np.minimum.reduce(z) > 0:
+        return float(np.add.reduce(z * np.log(z)))
     pos = z > 0
     return float(np.sum(z[pos] * np.log(z[pos])))
 
@@ -132,7 +138,7 @@ def entropy_tilted_argopt(g: np.ndarray, beta: float, dset: FeasibleSet) -> np.n
     if beta <= 0.0:
         _, arg = dset.maximize_linear(g)
         return arg
-    return waterfill(np.exp((g - g.max()) / beta), dset.theta)
+    return waterfill(np.exp((g - np.maximum.reduce(g)) / beta), dset.theta)
 
 
 def waterfill(b: np.ndarray, theta: float) -> np.ndarray:
@@ -158,10 +164,10 @@ def waterfill(b: np.ndarray, theta: float) -> np.ndarray:
     free weight zero) is therefore unreachable for normalized weights; it
     puts the free mass on the first free coordinate.
     """
-    denom = float(b.sum())
+    denom = float(np.add.reduce(b))
     if denom > 0.0:
         share = b * (1.0 / denom)
-        if share.min() >= theta:
+        if np.minimum.reduce(share) >= theta:
             return share
     d = b.shape[0]
     free = np.ones(d, dtype=bool)

@@ -26,10 +26,14 @@ spent iteration budget.  Each solution names its path in ``path``:
    Lagrangians, with squared-norm regularizers or none, paired with the
    inner maximizer or, at a kink, the dual that balances the x-gradient,
    read off the rows (``_stationary_y_candidates``);
-3. ``warm_accept``: an already-converged warm start;
-4. ``newton``: equality-constrained Newton on the entropy-smoothed envelope
+3. ``newton``: equality-constrained Newton on the entropy-smoothed envelope
    of a bilinear-plus-entropy sum over simplexes with both entropy weights
-   positive, at every dimension (``_entropic_newton_path``);
+   positive, at every dimension (``_entropic_newton_path``).  Its first
+   iterate is the warm start's x, so a converged warm start is certified
+   there, paired with its inner maximizer, after 0 steps and with one
+   certificate;
+4. ``warm_accept``: an already-converged warm start, for every sum that
+   Newton does not take or gives way on;
 5. ``lp``: the simplex method on a pure bilinear sum over two
    simplexes, floored or not (``solve_matrix_game_lp``);
 6. mirror-prox (Nemirovski 2004, ``_mirror_prox``), one loop with two prox
@@ -55,8 +59,8 @@ convex-concave sums return the last iterate, merely convex-concave sums the
 ergodic average.
 
 ``iterations`` counts Newton steps, simplex pivots, or mirror-prox and
-extragradient iterations; the closed forms, the envelope root and the warm
-start report 0.
+extragradient iterations; the closed forms, the envelope root, the warm
+start and a Newton solve that certifies its first iterate report 0.
 """
 
 from __future__ import annotations
@@ -388,7 +392,7 @@ def _kl_prox(log_p, step_lin, a, theta):
     step_lin)), normalized to max 1; d = 2 has its own closed form.
     """
     logits = a * (log_p - step_lin)
-    b = np.exp(logits - logits.max())
+    b = np.exp(logits - np.maximum.reduce(logits))
     if b.shape[0] != 2:
         return waterfill(b, theta)
     b0, b1 = float(b[0]), float(b[1])
@@ -441,7 +445,7 @@ def _mirror_prox(f, X, Y, x, y, cfg: SolverConfig, entropic: bool) -> SaddleSolu
             return _kl_prox(px, gamma * gx, ax, X.theta), _kl_prox(py, -gamma * gy, ay, Y.theta)
 
         def dist(v):
-            return np.abs(v).sum()
+            return np.add.reduce(np.abs(v))
 
         scale, path = 3.0, "mirror_prox"
     else:
@@ -495,17 +499,22 @@ NEWTON_MAX_STEPS = 50
 
 def _newton_direction(S, bx, by, theta_y, x, y, grad):
     """(dx, decrement) of the equality-constrained Newton step on the
-    entropic envelope at x, where y = y*(x); see ``_entropic_newton_path``."""
+    entropic envelope at x, where y = y*(x); see ``_entropic_newton_path``.
+
+    Like the rest of the Newton loop, it reduces with bare ufuncs: the
+    ndarray methods and np.outer/np.stack route through Python wrappers
+    that cost more than the arithmetic at these sizes, for the same bits.
+    """
     r = np.sqrt(x)
     y_free = np.where(y > theta_y, y, 0.0)
     Z = (r[:, None] * S) * np.sqrt(y_free)
     v = r * (S @ y_free)
     # a fully pinned y (a one-point Y) has v = 0 and no curvature term
-    H = (Z @ Z.T - np.outer(v, v) / max(float(y_free.sum()), 1e-300)) / by
-    H[np.diag_indices_from(H)] += bx
-    sol = np.linalg.solve(H, np.stack([r * grad, r], axis=1))
+    H = (Z @ Z.T - v[:, None] * v / max(float(np.add.reduce(y_free)), 1e-300)) / by
+    H.flat[:: x.shape[0] + 1] += bx
+    sol = np.linalg.solve(H, np.column_stack([r * grad, r]))
     a, b = r * sol[:, 0], r * sol[:, 1]
-    dx = (a.sum() / b.sum()) * b - a
+    dx = (np.add.reduce(a) / np.add.reduce(b)) * b - a
     return dx, -float(grad @ dx)
 
 
@@ -527,6 +536,8 @@ def _entropic_newton_path(f: SumPayoff, X, Y, x0, cfg: SolverConfig) -> SaddleSo
     x^-1/2 dx, where H becomes bx*I plus a PSD term.  The step stops short
     of the boundary and backtracks (Armijo) on phi.
 
+    The first iterate is x0 itself, floored at 1e-300 and renormalized, so
+    a converged warm start stops before any step, with one certificate.
     The loop stops on the Newton decrement and certifies (x, y*(x)).  The
     entropy is not self-concordant, so near a vertex the decrement can
     understate the distance to the minimizer; a pair that fails tol_gap
@@ -546,7 +557,7 @@ def _entropic_newton_path(f: SumPayoff, X, Y, x0, cfg: SolverConfig) -> SaddleSo
         return bx * float(x @ np.log(x)) + float(x @ (S @ y)) - by * negentropy(y), y
 
     x = np.maximum(x0, 1e-300)
-    x = x / x.sum()
+    x = x / np.add.reduce(x)
     phi, y = envelope(x)
     steps = 0
     certify_each_step = False
@@ -561,7 +572,7 @@ def _entropic_newton_path(f: SumPayoff, X, Y, x0, cfg: SolverConfig) -> SaddleSo
             dx, decrement = _newton_direction(S, bx, by, theta_y, x, y, grad)
             converged = decrement <= stop
         if converged or certify_each_step:
-            if x.min() < theta_x:
+            if np.minimum.reduce(x) < theta_x:
                 return None
             g = gap_estimate(f, X, Y, x, y)
             if g <= cfg.tol_gap:
@@ -573,7 +584,9 @@ def _entropic_newton_path(f: SumPayoff, X, Y, x0, cfg: SolverConfig) -> SaddleSo
             return None
         steps += 1
         shrinking = dx < 0.0
-        t = min(1.0, 0.99 * float(np.min(-x[shrinking] / dx[shrinking]))) if shrinking.any() else 1.0
+        t = 1.0
+        if np.logical_or.reduce(shrinking):
+            t = min(t, 0.99 * float(np.minimum.reduce(-x[shrinking] / dx[shrinking])))
         while True:
             x_new = x + t * dx
             phi_new, y_new = envelope(x_new)
@@ -760,8 +773,11 @@ def solve_saddle(
     """min_x max_y f over X x Y with a certified duality gap.
 
     Returns the first pair certified to tol_gap along the path order of the
-    module docstring (``closed_2x2``, ``envelope``, ``warm_accept``,
-    ``newton``, ``lp``); ``path`` names the path that produced it.  When the
+    module docstring (``closed_2x2``, ``envelope``, ``newton``,
+    ``warm_accept``, ``lp``); ``path`` names the path that produced it.
+    Newton's first iterate is the warm start, so an entropic round whose
+    warm start has converged certifies once, on the ``newton`` path, and
+    the warm-start check runs only when Newton gives way.  When the
     exact and closed-form paths fail, mirror-prox runs to tol_gap or to
     max_iters, with the KL prox for an entropic-bilinear sum over simplexes
     (path ``mirror_prox``) and the Euclidean projections otherwise
@@ -803,16 +819,17 @@ def solve_saddle(
             if g <= cfg.tol_gap:
                 return SaddleSolution(x, y, f.value(x, y), g, 0, "envelope")
 
-    if cfg.warm_start is not None:
-        g0 = gap_estimate(f, X, Y, x0, y0)
-        if g0 <= cfg.tol_gap:
-            return SaddleSolution(x0, y0, f.value(x0, y0), g0, 0, "warm_accept")
-
     entropic = simplexes and f.is_entropic_bilinear()
     if entropic:
         newton = _entropic_newton_path(f, X, Y, x0, cfg)
         if newton is not None:
             return newton
+
+    if cfg.warm_start is not None:
+        g0 = gap_estimate(f, X, Y, x0, y0)
+        if g0 <= cfg.tol_gap:
+            return SaddleSolution(x0, y0, f.value(x0, y0), g0, 0, "warm_accept")
+
     if simplexes and f.is_pure_bilinear():
         lp = solve_matrix_game_lp(f.matrix, X, Y)
         if lp is not None:

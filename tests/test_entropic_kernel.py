@@ -311,3 +311,34 @@ def test_degenerate_floors(d, offset):
         sol = solve_saddle(f, X, X, cfg)
         assert X.contains(sol.x_star) and X.contains(sol.y_star)
         assert sol.gap <= cfg.tol_gap
+
+
+# ---------------------------------------------------------------------------
+# negentropy: the one-pass form of a positive vector
+# ---------------------------------------------------------------------------
+
+
+def _masked_negentropy(z):
+    pos = z > 0
+    return float(np.sum(z[pos] * np.log(z[pos])))
+
+
+def test_negentropy_one_pass_has_the_bits_of_the_masked_form():
+    rng = np.random.default_rng(31)
+    tiny = (5e-324, 2.5e-310, 2.2250738585072014e-308, 1e-300)
+    for d in range(1, 65):
+        for _ in range(4):
+            z = rng.dirichlet(np.full(d, rng.choice([0.05, 1.0, 20.0])))
+            z = np.maximum(z, 1e-300)
+            subnormal = z.copy()
+            subnormal[rng.integers(d, size=max(1, d // 4))] = rng.choice(tiny)
+            for v in (z, subnormal, np.repeat(z, 2)[::2]):
+                assert payoffs.negentropy(v).hex() == _masked_negentropy(v).hex(), (d, v)
+
+
+def test_negentropy_keeps_zero_log_zero():
+    assert payoffs.negentropy(np.array([0.0, 1.0])) == 0.0
+    assert payoffs.negentropy(np.zeros(3)) == 0.0
+    z = np.array([0.0, 0.25, 0.0, 0.75, 5e-324])
+    assert payoffs.negentropy(z).hex() == _masked_negentropy(z).hex()
+    assert payoffs.negentropy(z) == 0.25 * np.log(0.25) + 0.75 * np.log(0.75) + 5e-324 * np.log(5e-324)

@@ -23,6 +23,7 @@ from osp_lab import osp_algorithms, saddle_solver
 from osp_lab.geometry import Box, Simplex, interval
 from osp_lab.knapsack import KnapsackLagrangian, QuadraticFn
 from osp_lab.matrix_games import OMGRFTL, EntropyRegularizer, omg_defaults
+from osp_lab.metrics_harness import AlgorithmSpec, ScenarioSpec, run_single
 from osp_lab.payoffs import (
     SquaredNormRegularizer,
     SumPayoff,
@@ -182,14 +183,15 @@ def _recorded_omg_rounds(d: int, T: int, seed: int, tol: float):
 @pytest.mark.parametrize("d,T", [(3, 300), (4, 300), (64, 60)])
 def test_newton_certifies_every_recorded_round(d, T):
     """Each round certifies to tol_gap, from the first rounds on, where the
-    entropy weight t/eta is smallest.  A round leaves Newton only for the
-    warm start, or when the x floor binds: the same Newton on the floorless
-    simplex then puts a coordinate below the floor."""
+    entropy weight t/eta is smallest.  Newton starts at the warm start, so a
+    converged warm start is a Newton solve too.  A round leaves Newton only
+    when the x floor binds: the same Newton on the floorless simplex then
+    puts a coordinate below the floor."""
     tol = 1e-6
     for t, (f, X, Y, cfg) in enumerate(_recorded_omg_rounds(d, T, seed=d, tol=tol)):
         sol = solve_saddle(f, X, Y, cfg)
         assert sol.gap <= tol, (t, sol.path)
-        if sol.path not in ("newton", "warm_accept"):
+        if sol.path != "newton":
             floorless = saddle_solver._entropic_newton_path(f, Simplex(d), Simplex(d), cfg.warm_start[0], cfg)
             assert floorless is not None and floorless.x_star.min() < X.theta, (t, sol.path)
 
@@ -259,6 +261,30 @@ def test_newton_reruns_are_bitwise_identical():
     assert run() == run()
 
 
+def test_omg_rounds_certify_once(monkeypatch):
+    """Newton starts at the warm start, so an OMG-RFTL round that ends on
+    Newton makes exactly one certificate: no separate warm-start check."""
+    calls = []
+    rounds = []
+    real_gap, real_solve = saddle_solver.gap_estimate, osp_algorithms.solve_saddle
+
+    def counting_gap(*args):
+        calls.append(1)
+        return real_gap(*args)
+
+    def one_round(f, X, Y, cfg):
+        before = len(calls)
+        sol = real_solve(f, X, Y, cfg)
+        rounds.append((sol.path, len(calls) - before))
+        return sol
+
+    monkeypatch.setattr(saddle_solver, "gap_estimate", counting_gap)
+    monkeypatch.setattr(osp_algorithms, "solve_saddle", one_round)
+    spec = ScenarioSpec("random_bilinear", T=100, seed=5, params={"d1": 8, "d2": 8})
+    run_single(spec, AlgorithmSpec("omg_rftl", {"tol_gap": 1e-6}), 0)
+    assert rounds == [("newton", 1)] * 100
+
+
 # ---------------------------------------------------------------------------
 # The path of every solution
 # ---------------------------------------------------------------------------
@@ -281,16 +307,19 @@ def _knapsack():
     return agg, interval(0.0, 2.0), Box(np.zeros(1), np.array([2.0]))
 
 
-def _warm_accept():
-    f, X, Y = _entropic(3, 1e-9, 0.3)
-    first = solve_saddle(f, X, Y, SolverConfig(tol_gap=1e-8))
-    return f, X, Y, SolverConfig(tol_gap=1e-8, warm_start=(first.x_star, first.y_star))
-
-
 def _sqnorm_bilinear():
     reg = SquaredNormRegularizer(1.0)
     A = np.random.default_rng(1).uniform(-1, 1, (3, 3))
     return regularize(make_bilinear(A), reg, reg, 0.5), Simplex(3), Simplex(3)
+
+
+def _warm_accept():
+    """A squared-norm sum warm-started at its own certified pair.  An
+    entropic sum would not do: Newton starts at the warm start and
+    certifies it before the warm-start check."""
+    f, X, Y = _sqnorm_bilinear()
+    first = solve_saddle(f, X, Y, SolverConfig(tol_gap=1e-8))
+    return f, X, Y, SolverConfig(tol_gap=1e-8, warm_start=(first.x_star, first.y_star))
 
 
 PATH_CASES = {

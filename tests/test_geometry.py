@@ -203,7 +203,8 @@ def test_projection_properties(dset, data, scale, seed):
 
 
 # ---------------------------------------------------------------------------
-# Box kernels: the ufunc forms keep the answers of np.clip and np.all
+# Box and Simplex kernels: the ufunc forms keep the answers of np.clip,
+# np.all and ndarray.sum
 # ---------------------------------------------------------------------------
 
 _SPECIAL = (0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan)
@@ -245,3 +246,26 @@ def test_box_contains_keeps_its_answers_at_the_tolerance():
     for z, lo, hi in _box_triples():
         special = Box(np.array([lo]), np.array([hi]))
         assert special.contains(np.array([z])) is reference(special, np.array([z]), 1e-9)
+
+
+def test_simplex_contains_keeps_its_answers_at_the_tolerance():
+    def reference(dset, z, tol):
+        return bool(np.all(z >= dset.theta - tol) and abs(float(z.sum()) - 1.0) <= tol)
+
+    def around(e):
+        return (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))
+
+    for theta in (0.0, 0.1):
+        dset = Simplex(3, theta)
+        for tol in (0.0, 1e-9):
+            answers = set()
+            firsts = {*around(theta - tol), *around(theta), 0.5, *_SPECIAL}
+            for z0, excess in itertools.product(sorted(firsts, key=repr), (-tol, 0.0, tol, 2 * tol + 1e-12)):
+                for z2 in around(1.0 - z0 - 0.3 + excess):
+                    z = np.array([z0, 0.3, z2])
+                    answers.add(dset.contains(z, tol))
+                    assert dset.contains(z, tol) is reference(dset, z, tol), (theta, tol, z)
+            assert answers == {True, False}
+        for special in _SPECIAL:
+            z = np.array([special, 0.5, 0.5 - special])
+            assert dset.contains(z) is reference(dset, z, 1e-9)
