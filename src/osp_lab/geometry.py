@@ -9,10 +9,18 @@ build on.  Projection onto a floored simplex reuses the sorted-threshold
 projection onto the standard simplex through the affine bijection
 w -> theta*1 + (1 - d*theta)*w; Euclidean projection commutes with that
 similarity, so one routine serves every floor.
+
+The kernels that a first-order round calls (``project_simplex`` and the
+``project``/``contains`` of both sets) use ufuncs and ndarray methods
+directly: ``np.sort``, ``np.cumsum``, ``np.nonzero``, ``np.all`` and
+``np.clip`` route through Python-level wrappers that cost more than the
+arithmetic on the 2- to 64-vectors of a round.  Each replacement computes
+the same bits as the expression it stands for.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,23 +32,36 @@ def project_simplex(z: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {w : w >= 0, sum w = 1} by sorted thresholding.
 
     O(d log d); the classic algorithm of Held/Wolfe/Crowder, see also
-    Duchi et al. (2008).
+    Duchi et al. (2008).  A NaN or an infinite entry raises ``ValueError``.
+
+    It runs once or twice per extragradient iteration, so it calls the
+    sort, the running sum and the support search as ndarray methods and
+    ufuncs, and thresholds in Python floats; these have the bits of
+    ``np.sort(z)[::-1]``, ``np.cumsum`` and ``np.nonzero`` without their
+    wrappers.
     """
     z = np.asarray(z, dtype=float)
     d = z.shape[0]
     if d == 1:
         return np.ones(1)
-    u = np.sort(z)[::-1]
-    if not u[0] - (u[0] - 1.0) > 0:
-        # the unit mass vanished in rounding (|u[0]| >= 2**53), so no index
+    u = z.copy()
+    u.sort()
+    u = u[::-1]
+    # NaN sorts to the top after the reversal and +-inf lands at an end, so
+    # the two ends see every non-finite entry
+    top = float(u[0])
+    if not (math.isfinite(top) and math.isfinite(float(u[-1]))):
+        raise ValueError(f"project_simplex needs finite entries, got {z!r}")
+    if not top - (top - 1.0) > 0:
+        # the unit mass vanished in rounding (|top| >= 2**53), so no index
         # would pass the test below; the projection is invariant under a
         # common shift of z, so move the top entry to 0
-        z, u = z - u[0], u - u[0]
-    css = np.cumsum(u) - 1.0
+        z, u = z - top, u - top
+    css = np.add.accumulate(u) - 1.0
     ks = np.arange(1, d + 1)
     cond = u - css / ks > 0
-    rho = np.nonzero(cond)[0][-1]
-    tau = css[rho] / (rho + 1.0)
+    rho = int(cond.nonzero()[0][-1])
+    tau = float(css[rho]) / (rho + 1.0)
     return np.maximum(z - tau, 0.0)
 
 

@@ -66,24 +66,26 @@ class SeparableQuadratic:
         return 2.0 * self.quad * np.asarray(z, dtype=float) + self.lin
 
     def minimize_over(self, dset: FeasibleSet) -> tuple[float, np.ndarray]:
-        if np.all(self.quad == 0.0):
+        # bare ufuncs instead of the np.all/np.any/np.clip wrappers, for the
+        # same bits, as in Box.project: this is the certificate's route
+        if np.logical_and.reduce(self.quad == 0.0):
             val, arg = dset.minimize_linear(self.lin)
             return val + self.const, arg
-        if np.any(self.quad < 0.0):
+        if np.logical_or.reduce(self.quad < 0.0):
             raise ValueError("minimize requires a convex (quad >= 0) restriction")
         if isinstance(dset, Box):
             lo, hi = dset.lower, dset.upper
             # a subnormal quad puts the vertex at +-inf, which the clip handles
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 vertex = np.where(self.quad > 0, -self.lin / (2.0 * self.quad), 0.0)
-            arg = np.clip(vertex, lo, hi)
+            arg = np.minimum(np.maximum(vertex, lo), hi)
             zero = self.quad == 0.0
-            if np.any(zero):
+            if np.logical_or.reduce(zero):
                 arg = np.where(zero, np.where(self.lin >= 0, lo, hi), arg)
             return self.value(arg), arg
         # exact isotropy: projecting with quad[0] minimizes the sum exactly
         # only when every coordinate has that weight
-        if isinstance(dset, Simplex) and np.all(self.quad == self.quad[0]):
+        if isinstance(dset, Simplex) and np.logical_and.reduce(self.quad == self.quad[0]):
             arg = dset.project(-self.lin / (2.0 * float(self.quad[0])))
             return self.value(arg), arg
         raise TypeError("no closed-form minimizer of a non-isotropic quadratic on a simplex")
@@ -599,7 +601,8 @@ class SumPayoff(PayoffFunction):
         if self._p is not None:
             xv, p, G = float(x[0]), self._p, self._G
             return np.array([2.0 * p[0] * xv + p[1] + float(y @ (2.0 * G[:, 0] * xv + G[:, 1]))])
-        g = np.zeros_like(np.asarray(x, dtype=float))
+        # the zero start turns a -0.0 product into +0.0
+        g = np.zeros(len(x))
         if self._matrix is not None:
             g = g + self._matrix @ y
         if self._reg_x is not None:
@@ -609,7 +612,7 @@ class SumPayoff(PayoffFunction):
     def grad_y(self, x, y):
         if self._p is not None:
             return self._G @ powers(x) - 2.0 * self._h * np.asarray(y)
-        g = np.zeros_like(np.asarray(y, dtype=float))
+        g = np.zeros(len(y))
         if self._matrix is not None:
             g = g + self._matrix.T @ x
         if self._reg_y is not None:

@@ -348,10 +348,21 @@ def solve_matrix_game_lp(A: np.ndarray, X: Simplex, Y: Simplex) -> SaddleSolutio
 # ---------------------------------------------------------------------------
 
 
+# The extragradient kernels below call ufuncs and ndarray methods directly:
+# np.all and np.linalg.norm route through Python wrappers that cost more
+# than the arithmetic on the vectors of a round, for the same bits.
+
+
+def _norm(v: np.ndarray) -> np.float64:
+    """Euclidean norm of a 1-D float vector: sqrt(v . v), which is what
+    ``np.linalg.norm`` computes for one."""
+    return np.sqrt(v.dot(v))
+
+
 def _operator(f, x, y):
     gx = f.grad_x(x, y)
     gy = f.grad_y(x, y)
-    if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(gy))):
+    if not (np.logical_and.reduce(np.isfinite(gx)) and np.logical_and.reduce(np.isfinite(gy))):
         raise NonFiniteGradientError("non-finite gradient encountered")
     return gx, gy
 
@@ -362,21 +373,21 @@ def _estimate_lipschitz(f, X, Y, x, y) -> float:
     nx, ny = x.shape[0], y.shape[0]
     u = np.ones(nx + ny)
     u[1::2] = -1.0
-    u /= np.linalg.norm(u)
-    eps = 1e-6 * (1.0 + float(np.linalg.norm(x)) + float(np.linalg.norm(y)))
+    u /= _norm(u)
+    eps = 1e-6 * (1.0 + float(_norm(x)) + float(_norm(y)))
     gx0, gy0 = _operator(f, x, y)
     L = 1e-12
     for _ in range(6):
         x2 = X.project(x + eps * u[:nx])
         y2 = Y.project(y + eps * u[nx:])
         dz = np.concatenate([x2 - x, y2 - y])
-        nd = float(np.linalg.norm(dz))
+        nd = float(_norm(dz))
         if nd < 1e-14:
             u = np.roll(u, 1)
             continue
         gx2, gy2 = _operator(f, x2, y2)
         dF = np.concatenate([gx2 - gx0, -(gy2 - gy0)])
-        nF = float(np.linalg.norm(dF))
+        nF = float(_norm(dF))
         L = max(L, nF / nd)
         if nF < 1e-300:
             break
@@ -461,10 +472,10 @@ def _mirror_prox(f, X, Y, x, y, cfg: SolverConfig, entropic: bool) -> SaddleSolu
         def prox(px, py, gx, gy):
             return X.project(px - gamma * gx), Y.project(py + gamma * gy)
 
-        dist, scale, path = np.linalg.norm, X.diameter() + Y.diameter() + 1.0, "extragradient"
+        dist, scale, path = _norm, X.diameter() + Y.diameter() + 1.0, "extragradient"
 
-    sum_x = np.zeros_like(x)
-    sum_y = np.zeros_like(y)
+    sum_x = np.zeros(x.shape[0])
+    sum_y = np.zeros(y.shape[0])
     best: SaddleSolution | None = None
     check_at = 4
     it = 0

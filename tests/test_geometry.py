@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from osp_lab.geometry import (
     project_simplex,
 )
 from osp_lab.oracles import grid_simplex_projection_3d
+from osp_lab.saddle_solver import _norm
 
 from brute_oracles import random_feasible_point
 
@@ -269,3 +271,72 @@ def test_simplex_contains_keeps_its_answers_at_the_tolerance():
         for special in _SPECIAL:
             z = np.array([special, 0.5, 0.5 - special])
             assert dset.contains(z) is reference(dset, z, 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# project_simplex and the solver's norm: the ufunc forms keep the bits of
+# np.sort, np.cumsum, np.nonzero and np.linalg.norm
+# ---------------------------------------------------------------------------
+
+
+def _project_simplex_wrapped(z):
+    """project_simplex as written with numpy's wrappers."""
+    z = np.asarray(z, dtype=float)
+    d = z.shape[0]
+    if d == 1:
+        return np.ones(1)
+    u = np.sort(z)[::-1]
+    if not u[0] - (u[0] - 1.0) > 0:
+        z, u = z - u[0], u - u[0]
+    css = np.cumsum(u) - 1.0
+    ks = np.arange(1, d + 1)
+    cond = u - css / ks > 0
+    rho = np.nonzero(cond)[0][-1]
+    tau = css[rho] / (rho + 1.0)
+    return np.maximum(z - tau, 0.0)
+
+
+def _kernel_vectors(rng, d):
+    """Random d-vectors of every kind the kernels must keep the bits of."""
+    tiny = np.nextafter(0.0, 1.0)
+    yield rng.normal(size=d)
+    yield 50.0 * rng.normal(size=d)
+    yield 1e-3 * rng.normal(size=d)
+    yield rng.integers(-3, 4, size=d) / 2.0  # ties
+    yield rng.choice([0.0, -0.0, 0.5, -0.5, 1.0], size=d)  # signed zeros
+    yield rng.integers(-5, 6, size=d) * tiny  # subnormals
+    yield np.where(rng.random(d) < 0.5, rng.integers(-5, 6, size=d) * tiny, rng.choice([0.0, -0.0, 1.0], size=d))
+    yield 2.0**60 * rng.normal(size=d)  # |z| >= 2**53: the shift guard
+    yield np.full(d, -3e16)
+
+
+def test_project_simplex_has_the_bits_of_the_wrapped_form():
+    rng = np.random.default_rng(20)
+    shifted = 0
+    for d in range(1, 65):
+        for z in _kernel_vectors(rng, d):
+            assert project_simplex(z).tobytes() == _project_simplex_wrapped(z).tobytes(), (d, z)
+            top = float(z.max())
+            shifted += d > 1 and not top - (top - 1.0) > 0
+    assert shifted > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+def test_project_simplex_rejects_non_finite_entries(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in ([bad, 0.2], [0.0, bad], [0.3, bad, -0.5], [bad, bad, bad]):
+            with pytest.raises(ValueError, match="finite"):
+                project_simplex(np.array(z))
+        with pytest.raises(ValueError, match="finite"):
+            Simplex(3, 0.1).project(np.array([0.2, bad, 0.1]))
+    with pytest.raises(ValueError, match="finite"):
+        project_simplex(np.array([np.nan, np.inf, -np.inf, 0.0]))
+
+
+def test_norm_has_the_bits_of_linalg_norm():
+    rng = np.random.default_rng(21)
+    for d in range(1, 65):
+        for v in [*_kernel_vectors(rng, d), np.zeros(d), np.full(d, 1e200)]:
+            with np.errstate(over="ignore"):  # 1e200 squared overflows in both
+                assert _norm(v).tobytes() == np.linalg.norm(v).tobytes(), (d, v)

@@ -245,3 +245,89 @@ def test_simplex_minimizer_requires_exact_isotropy():
     exact = SeparableQuadratic(np.full(2, 1e3), lin)
     val, arg = exact.minimize_over(Simplex(2))
     assert np.array_equal(arg, Simplex(2).project(-lin / 2e3)) and val == exact.value(arg)
+
+
+# ---------------------------------------------------------------------------
+# Gradient map and restriction kernels: the ufunc forms keep the bits of
+# np.zeros_like, np.all, np.any and np.clip
+# ---------------------------------------------------------------------------
+
+
+def _grads_wrapped(s, x, y, w):
+    """SumPayoff.grad_x/grad_y of a matrix sum, as written with
+    np.zeros_like, for squared-norm slots of summed weight w (or none)."""
+    gx = np.zeros_like(np.asarray(x, dtype=float))
+    gx = gx + s.matrix @ y
+    gy = np.zeros_like(np.asarray(y, dtype=float))
+    gy = gy + s.matrix.T @ x
+    if w is not None:
+        gx = gx + w * SquaredNormRegularizer(1.0).grad(x)
+        gy = gy - w * SquaredNormRegularizer(1.0).grad(y)
+    return gx, gy
+
+
+def test_sum_gradients_have_the_bits_of_the_zeros_like_start():
+    M = np.array([[-1.0, -0.5], [1.0, -0.75]])
+    sq = SquaredNormRegularizer(1.0)
+    # the slot's product w * 2x is -0.0 at x = -0.0; the zero start turns it
+    # into +0.0
+    x, y = np.array([-0.0, 0.5]), np.array([0.25, -0.0])
+    assert np.signbit(0.5 * sq.grad(x)[0]) and np.signbit(0.5 * sq.grad(y)[1])
+    for terms, w in ((1, None), (1, 0.5), (3, 1.5)):
+        s = SumPayoff()
+        for _ in range(terms):
+            s.add(make_bilinear(M) if w is None else regularize(make_bilinear(M), sq, sq, 0.5))
+        gx, gy = _grads_wrapped(s, x, y, w)
+        assert s.grad_x(x, y).tobytes() == gx.tobytes()
+        assert s.grad_y(x, y).tobytes() == gy.tobytes()
+    rng = np.random.default_rng(22)
+    for _ in range(200):
+        d1, d2 = (int(k) for k in rng.integers(1, 9, size=2))
+        A = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], size=(d1, d2)) * rng.choice([1.0, rng.uniform(-1.0, 1.0)])
+        x = rng.choice([0.0, -0.0, 0.25, -0.75], size=d1) * rng.choice([1.0, rng.normal()])
+        y = rng.choice([0.0, -0.0, 0.25, -0.75], size=d2) * rng.choice([1.0, rng.normal()])
+        s = SumPayoff()
+        w = None if rng.random() < 0.5 else 0.25
+        s.add(make_bilinear(A) if w is None else regularize(make_bilinear(A), sq, sq, w))
+        gx, gy = _grads_wrapped(s, x, y, w)
+        assert s.grad_x(x, y).tobytes() == gx.tobytes()
+        assert s.grad_y(x, y).tobytes() == gy.tobytes()
+
+
+def _minimize_over_box_wrapped(q, box):
+    """The Box branch of SeparableQuadratic.minimize_over, as written with
+    np.clip and np.any."""
+    lo, hi = box.lower, box.upper
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vertex = np.where(q.quad > 0, -q.lin / (2.0 * q.quad), 0.0)
+    arg = np.clip(vertex, lo, hi)
+    zero = q.quad == 0.0
+    if np.any(zero):
+        arg = np.where(zero, np.where(q.lin >= 0, lo, hi), arg)
+    return q.value(arg), arg
+
+
+def test_box_minimizer_has_the_bits_of_clip():
+    tiny = np.nextafter(0.0, 1.0)
+    # a subnormal quad puts the vertex at -inf (lin > 0) and +inf (lin < 0)
+    q = SeparableQuadratic(np.array([tiny, tiny, 1.0, 0.0, 0.0, 2.0]), np.array([1.0, -1.0, -0.0, 0.0, -2.0, 3.0]), 0.5)
+    with np.errstate(divide="ignore", over="ignore"):
+        assert np.array_equal(-q.lin[:2] / (2.0 * q.quad[:2]), [-np.inf, np.inf])
+    box = Box(np.array([-1.0, -2.0, -0.0, 0.0, -1.0, -5.0]), np.array([1.0, 2.0, 0.0, 1.0, 1.0, -0.0]))
+    val, arg = q.minimize_over(box)
+    ref_val, ref_arg = _minimize_over_box_wrapped(q, box)
+    assert arg.tobytes() == ref_arg.tobytes() and val == ref_val
+    assert arg[:2].tolist() == [-1.0, 2.0]
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        d = int(rng.integers(1, 9))
+        quad = rng.choice([0.0, tiny, 3 * tiny, 1.0, 0.5], size=d) * rng.choice([1.0, rng.exponential()])
+        lin = rng.choice([0.0, -0.0, 1.0, -1.0], size=d) * rng.normal(size=d)
+        lo = rng.normal(size=d)
+        box = Box(lo, lo + rng.exponential(size=d) * (rng.random(d) < 0.8))
+        q = SeparableQuadratic(quad, lin, float(rng.normal()))
+        val, arg = q.minimize_over(box)
+        ref_val, ref_arg = _minimize_over_box_wrapped(q, box)
+        assert arg.tobytes() == ref_arg.tobytes() and val == ref_val
+        neg_val, neg_arg = SeparableQuadratic(-quad, -lin, -q.const).maximize_over(box)
+        assert neg_arg.tobytes() == ref_arg.tobytes() and neg_val == -ref_val
