@@ -26,8 +26,6 @@ from .matrix_games import (
 from .metrics_harness import (
     AlgorithmSpec,
     ScenarioSpec,
-    compute_individual_regrets,
-    compute_sp_regret,
     generate_scenario,
     run_experiment,
 )
@@ -45,7 +43,6 @@ from .saddle_solver import (
     SaddleSolution,
     SolverConfig,
     gap_estimate,
-    hindsight_value,
     solve_matrix_game_2x2,
     solve_saddle,
 )

@@ -19,17 +19,19 @@ reads the budget state: PD-RFTL, SP-FTL and OGDA see only the revealed
 null action once the remaining budget could be exceeded, must settle row by
 row with the same function.
 
-``KnapsackLagrangian`` is the per-round payoff the agents and the harness
-observe.  It gives its coefficient rows (``envelope_rows``), so a
-``payoffs.SumPayoff`` folds it like any other payoff with rows; there is no
-knapsack running sum.  The paper's SP-FTL agent regularizes each Lagrangian
-by H x^2 - H ||y||^2, which makes it ``osp_algorithms.SPRFTL`` with
-squared-norm regularizers of weight H; it only constructs.  Each of its
-rounds, the r* solve on the expected functions' Lagrangian and every
-hindsight solve go through the solver's one exact 1-D path,
-``saddle_solver.envelope_argmin``, and are certified from the summed rows in
-O(m) arithmetic (``saddle_solver.gap_estimate``).  PD-RFTL takes gradient
-steps and has its own ``step``: two box projections a round.
+``KnapsackLagrangian`` is the per-round payoff the agents observe; the
+harness accounts for a run from the coefficient arrays and the settlement,
+and builds a Lagrangian only for the hindsight sum.  It gives its
+coefficient rows (``envelope_rows``), so a ``payoffs.SumPayoff`` folds it
+like any other payoff with rows; there is no knapsack running sum.  The
+paper's SP-FTL agent regularizes each Lagrangian by H x^2 - H ||y||^2,
+which makes it ``osp_algorithms.SPRFTL`` with squared-norm regularizers of
+weight H; it only constructs.  Each of its rounds, the r* solve on the
+expected functions' Lagrangian and every hindsight solve go through the
+solver's one exact 1-D path, ``saddle_solver.envelope_argmin``, and are
+certified from the summed rows in O(m) arithmetic
+(``saddle_solver.gap_estimate``).  PD-RFTL takes gradient steps and has its
+own ``step``: two box projections a round.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ import numpy as np
 
 from .geometry import Box, FeasibleSet
 from .osp_algorithms import SPRFTL, SPRFTLConfig
-from .payoffs import PayoffFunction, SeparableQuadratic, SquaredNormRegularizer
-from .saddle_solver import SolverConfig, solve_saddle
+from .payoffs import PayoffFunction, SquaredNormRegularizer
+from .saddle_solver import SolverConfig, require_positive, solve_saddle
 
 
 @dataclass
@@ -235,24 +237,6 @@ class KnapsackLagrangian(PayoffFunction):
     def grad_y(self, x, y):
         return self._cons(float(x[0])) - self.b_over_T
 
-    def restrict_x(self, y):
-        quad = -self.r.a2 + sum(float(y[i]) * self.c[i].a2 for i in range(len(self.c)))
-        lin = -self.r.a1 + sum(float(y[i]) * self.c[i].a1 for i in range(len(self.c)))
-        const = (
-            -self.r.a0
-            + sum(float(y[i]) * self.c[i].a0 for i in range(len(self.c)))
-            - float(y @ self.b_over_T)
-        )
-        return SeparableQuadratic(np.array([quad]), np.array([lin]), const)
-
-    def restrict_y(self, x):
-        xv = float(x[0])
-        return SeparableQuadratic(
-            np.zeros(self.b_over_T.shape[0]),
-            self._cons(xv) - self.b_over_T,
-            -self.r(xv),
-        )
-
     def envelope_rows(self):
         """p = -r, the rows of c_i - b_i/T, and h = 0."""
         G = np.array([ci.coefficients() for ci in self.c])
@@ -370,8 +354,7 @@ class PDRFTLConfig:
     eta2: float
 
     def __post_init__(self):
-        if self.eta1 <= 0 or self.eta2 <= 0:
-            raise ValueError("step parameters must be positive")
+        require_positive(eta1=self.eta1, eta2=self.eta2)
 
 
 def theorem8_steps(instance: KnapsackInstance) -> PDRFTLConfig:
@@ -466,14 +449,25 @@ def benchmark_r_star(
     that of the expected functions' Lagrangian, whose coefficient rows the
     solver's envelope path solves exactly.  Raises RuntimeError when the
     saddle solve cannot certify its value.
+
+    A zero budget b_i leaves the null action feasible but not strictly, so
+    Slater's condition fails, and the default y_max_i = 0 would drop the
+    resource from the Lagrangian; that raises ValueError naming b_i.  An
+    infinite budget never binds, so its dual is 0 at the saddle: it is
+    pinned there, with a finite row, which drops the constraint.
     """
+    zero = np.flatnonzero(instance.b == 0.0)
+    if zero.size:
+        raise ValueError(f"budget b[{zero[0]}] is 0: the null action is not strictly feasible, so r* has no dual bound")
     if expectation_oracle is None:
         e_r, e_c = instance.sampler.expectation()
     else:
         e_r, e_c = expectation_oracle
-    payoff = instance.lagrangian(e_r, e_c)
+    finite = np.isfinite(instance.b)
+    payoff = KnapsackLagrangian(e_r, e_c, np.where(finite, instance.b / instance.T, 0.0))
+    Y = Box(np.zeros(instance.m), np.where(finite, instance.y_max, 0.0))
     cfg = cfg or SolverConfig(tol_gap=1e-10, max_iters=200_000)
-    return -instance.T * solve_saddle(payoff, instance.X, instance.dual_set(), cfg).certified_value(cfg)
+    return -instance.T * solve_saddle(payoff, instance.X, Y, cfg).certified_value(cfg)
 
 
 def knapsack_regret(reward: float, r_star: float) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 from .geometry import Simplex
 from .osp_algorithms import SPRFTL, SPRFTLConfig
 from .payoffs import BilinearPayoff, Regularizer, negentropy
-from .saddle_solver import SolverConfig
+from .saddle_solver import SolverConfig, require_positive
 
 
 @dataclass
@@ -65,10 +65,7 @@ class OMGConfig:
     theta_clamped: bool = False
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        require_positive(eta=self.eta, theta=self.theta)
 
 
 def omg_defaults(T: int, G: float, d1: int, d2: int, solver: SolverConfig | None = None) -> OMGConfig:
@@ -166,8 +163,7 @@ class BanditConfig:
     delta_clamped: bool = False
 
     def __post_init__(self):
-        if self.eta <= 0 or self.delta <= 0:
-            raise ValueError("eta and delta must be positive")
+        require_positive(eta=self.eta, delta=self.delta)
 
 
 def bandit_defaults(

@@ -3,22 +3,26 @@
 Metrics follow the three regret notions: the absolute gap between realized
 cumulative payoff and the hindsight min-max value, and the two one-sided
 individual regrets against the best fixed action versus the opponent's
-realized sequence.  The runner has two run loops.  The game loop serves
-every saddle-point and matrix-game run, with full or bandit feedback: the
-payoff sequence is generated lazily from seeds, and each round is folded
-into coefficient accumulators as it is played, so horizons of 10^4+ never
-materialize payoff lists.  The knapsack loop settles after play: a knapsack
-run draws its whole stream up front, its loop only plays, and the budget
-settlement, the trace, the accumulators and the series are computed after
-it in one pass over arrays of fixed width per round.  Every hindsight value
-the runner reports is certified to its tolerance, or the run raises.
+realized sequence.  The runner has one run loop (``_run``) for every
+scenario kind.  A scenario streams its rounds in blocks (`Scenario.blocks`):
+the loop plays a block, feeding the agent the block's payoffs, and then
+accounts for the block at the played pairs in array passes (`Block`): the
+realized values, the restriction rows of f_t(., y_t) and f_t(x_t, .), whose
+running sums carry from block to block, and the running hindsight sum.
+Matrix games come in blocks of 16 rounds, so memory stays O(d1 d2) per
+block; the quadratic and knapsack scenarios come in one block of T rounds of
+fixed width, the knapsack block settling the budget after play.  Every
+hindsight value the runner reports is certified to its tolerance, or the
+run raises.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,13 +59,15 @@ from .osp_algorithms import (
     corollary1_eta,
 )
 from .payoffs import (
+    BilinearPayoff,
+    PayoffFunction,
+    ScalarQuadraticBilinear,
     SeparableQuadratic,
     SquaredNormRegularizer,
-    SumPayoff,
     make_bilinear,
     make_quadratic_bilinear,
 )
-from .saddle_solver import SolverConfig, hindsight_value, solve_saddle
+from .saddle_solver import SolverConfig, require_positive, solve_saddle
 
 
 # ---------------------------------------------------------------------------
@@ -103,68 +109,6 @@ class RegretReport:
 
 
 # ---------------------------------------------------------------------------
-# Best-response accumulation
-# ---------------------------------------------------------------------------
-
-
-class RestrictionAccumulator:
-    """Sum across rounds of one-variable restrictions, all of them separable
-    quadratics (the scenario payoffs are scalar quadratics, bilinear games
-    and knapsack Lagrangians), held in O(1) state."""
-
-    def __init__(self):
-        self._sum: SeparableQuadratic | None = None
-
-    def add(self, restriction: SeparableQuadratic) -> None:
-        if self._sum is None:
-            self._sum = SeparableQuadratic(
-                restriction.quad.copy(), restriction.lin.copy(), restriction.const
-            )
-        else:
-            self._sum.quad += restriction.quad
-            self._sum.lin += restriction.lin
-            self._sum.const += restriction.const
-
-    def minimize(self, dset: FeasibleSet) -> float:
-        return float(self._sum.minimize_over(dset)[0])
-
-    def maximize(self, dset: FeasibleSet) -> float:
-        return float(self._sum.maximize_over(dset)[0])
-
-
-def compute_sp_regret(
-    trace: RoundTrace,
-    history,
-    X: FeasibleSet,
-    Y: FeasibleSet,
-    cfg: SolverConfig | None = None,
-) -> float:
-    """|sum of realized payoffs - min_x max_y of the summed history|; raises
-    RuntimeError when the hindsight value cannot be certified."""
-    return abs(float(trace.payoff_values.sum()) - hindsight_value(history, X, Y, cfg))
-
-
-def compute_individual_regrets(
-    trace: RoundTrace,
-    history,
-    X: FeasibleSet,
-    Y: FeasibleSet,
-    cfg: SolverConfig | None = None,
-) -> tuple[float, float]:
-    """(realized - best fixed x vs the y_t sequence,
-        best fixed y vs the x_t sequence - realized); either may be negative."""
-    acc_x = RestrictionAccumulator()
-    acc_y = RestrictionAccumulator()
-    for t, payoff in enumerate(history):
-        acc_x.add(payoff.restrict_x(trace.ys[t]))
-        acc_y.add(payoff.restrict_y(trace.xs[t]))
-    realized = float(trace.payoff_values.sum())
-    ind_x = realized - acc_x.minimize(X)
-    ind_y = acc_y.maximize(Y) - realized
-    return ind_x, ind_y
-
-
-# ---------------------------------------------------------------------------
 # Scenario generators
 # ---------------------------------------------------------------------------
 
@@ -192,51 +136,168 @@ class ScenarioSpec:
 
 
 @dataclass
+class Block:
+    """The accounting of n played rounds, at the played pairs (x_t, y_t).
+
+    ``values`` are f_t(x_t, y_t), shape (n,).  ``rows_x`` and ``rows_y``
+    are the restriction rows (quad, lin, const) of f_t(., y_t) and of
+    f_t(x_t, .), of shapes (n, d), (n, d) and (n,): each restriction is the
+    separable quadratic quad . z^2 + lin . z + const.  ``hindsight(k)`` is
+    the sum of the run's payoffs through round k of the block.  ``trace``
+    and ``series`` hold the per-round columns of one scenario kind (the
+    knapsack settlement).
+    """
+
+    values: np.ndarray
+    rows_x: tuple
+    rows_y: tuple
+    hindsight: Callable[[int], PayoffFunction]
+    trace: dict = field(default_factory=dict)
+    series: dict = field(default_factory=dict)
+
+
+@dataclass
 class Scenario:
+    """A scenario's sets, metadata and round stream.
+
+    ``blocks(run_seed)`` yields (payoffs, account) in round order: payoffs
+    are what the agent observes, one per round of the block, and
+    ``account(xs, ys)`` returns the `Block` of those rounds played at the
+    pairs xs (n, dx) and ys (n, dy).
+    """
+
     spec: ScenarioSpec
     kind: str  # "osp", "omg" or "ocowk"
-    X: FeasibleSet | None
-    Y: FeasibleSet | None
+    X: FeasibleSet
+    Y: FeasibleSet
     metadata: dict
+    blocks: Callable[[int], Iterator]
+    instance: KnapsackInstance | None = None
 
     def payoffs(self, run_seed: int):
-        raise NotImplementedError
-
-    def matrices(self, run_seed: int):
-        raise NotImplementedError
-
-
-class _OSPScenario(Scenario):
-    def __init__(self, spec, X, Y, metadata, stream_fn):
-        super().__init__(spec, "osp", X, Y, metadata)
-        self._stream_fn = stream_fn
-
-    def payoffs(self, run_seed: int):
-        return self._stream_fn(run_seed)
-
-
-class _OMGScenario(Scenario):
-    def __init__(self, spec, d1, d2, metadata, matrix_fn):
-        super().__init__(spec, "omg", Simplex(d1), Simplex(d2), metadata)
-        self._matrix_fn = matrix_fn
-
-    def matrices(self, run_seed: int):
-        return self._matrix_fn(run_seed)
-
-    def payoffs(self, run_seed: int):
-        return (make_bilinear(A) for A in self.matrices(run_seed))
-
-
-class _OCOwKScenario(Scenario):
-    def __init__(self, spec, instance: KnapsackInstance, metadata):
-        super().__init__(spec, "ocowk", instance.X, instance.dual_set(), metadata)
-        self.instance = instance
+        """The payoffs the agent observes, round by round."""
+        for payoffs, _ in self.blocks(run_seed):
+            yield from payoffs
 
 
 def _stream_rng(spec_seed: int, run_seed: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence((spec_seed, run_seed, 5550001)))
     )
+
+
+def _running(a: np.ndarray, start=None) -> np.ndarray:
+    """Running sums of a along rounds (axis 0), added in round order from
+    start (or from the first row), so row t has the bits of a round-by-round
+    accumulator after round t; np.sum would add in a pairwise order."""
+    if start is not None:
+        return np.cumsum(np.concatenate([start[None], a]), axis=0)[1:]
+    return np.cumsum(a, axis=0)
+
+
+# rounds per matrix block: a block of 64 x 64 matrices takes 0.5 MB, where
+# a whole run's T x d1 x d2 draw would take 31 MB at T = 1,000
+_MATRIX_BLOCK = 16
+
+
+def _matrix_blocks(T: int, draw):
+    """The blocks of a matrix game; draw(start, n) gives the matrices of
+    rounds start, ..., start + n - 1, shape (n, d1, d2), in round order.
+
+    Each slice of a batched np.matmul has the bits of A @ y, x @ A and
+    (x @ A) @ y, and the running matrix sums add in round order, as
+    `SumPayoff.add` does.  A block holds its matrices and the sum before
+    it; the sums within it are formed only when asked for."""
+    total = None
+    for start in range(0, T, _MATRIX_BLOCK):
+        mats = draw(start, min(_MATRIX_BLOCK, T - start))
+        before = total
+        total = mats[0].copy() if before is None else before + mats[0]
+        for A in mats[1:]:
+            total += A
+
+        def account(xs, ys, mats=mats, before=before):
+            xA = np.matmul(xs[:, None, :], mats)[:, 0, :]
+            Ay = np.matmul(mats, ys[:, :, None])[:, :, 0]
+            values = np.matmul(xA[:, None, :], ys[:, :, None])[:, 0, 0]
+            const = np.zeros(len(mats))
+            return Block(
+                values,
+                (np.zeros_like(Ay), Ay, const),
+                (np.zeros_like(xA), xA, const),
+                lambda k: BilinearPayoff(_running(mats[: k + 1], before)[-1], entry_bound=None),
+            )
+
+        yield [make_bilinear(A) for A in mats], account
+
+
+def _quadratic_blocks(centers: np.ndarray, H: float, hw: float):
+    """One block of the T rounds x*y + (H/2)(x - p_t)^2 - (H/2)(y - q_t)^2,
+    centers (p_t, q_t) of shape (T, 2).
+
+    The coefficients are those of ``make_quadratic_bilinear``, the values
+    and rows the formulas of `ScalarQuadraticBilinear`, elementwise, and
+    the hindsight sum is the payoff of the running coefficient sums."""
+    P, Q = centers[:, 0], centers[:, 1]
+    cxy, cx2, cy2 = 1.0, H / 2.0, -H / 2.0
+    cx1, cy1, c0 = -H * P, H * Q, H * P * P / 2.0 - H * Q * Q / 2.0
+    T = len(centers)
+    sums = [_running(np.broadcast_to(c, (T,))) for c in (cxy, cx2, cx1, cy2, cy1, c0)]
+
+    def account(xs, ys):
+        x, y = xs[:, 0], ys[:, 0]
+        values = cxy * x * y + cx2 * x * x + cx1 * x + cy2 * y * y + cy1 * y + c0
+        rows_x = (np.full((T, 1), cx2), (cxy * y + cx1)[:, None], cy2 * y * y + cy1 * y + c0)
+        rows_y = (np.full((T, 1), cy2), (cxy * x + cy1)[:, None], cx2 * x * x + cx1 * x + c0)
+        return Block(values, rows_x, rows_y, lambda k: ScalarQuadraticBilinear(*(float(s[k]) for s in sums)))
+
+    yield (make_quadratic_bilinear(1.0, H, p, q, hw, hw) for p, q in centers.tolist()), account
+
+
+def _y_weighted(YS: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """sum_i y_i * K[:, i] per round, added in the order of a per-round
+    Python sum over the resources."""
+    acc = 0.0
+    for i in range(K.shape[1]):
+        acc = acc + YS[:, i] * K[:, i]
+    return acc
+
+
+def _knapsack_blocks(inst: KnapsackInstance, run_seed: int):
+    """One block of the T rounds' Lagrangians.  Its account settles the
+    budget for the whole run (``KnapsackEnvironment.settle``), which is
+    exact because no knapsack agent reads the budget state."""
+    env = KnapsackEnvironment(inst, run_seed)
+    bT = inst.b / inst.T
+
+    def account(xs, ys):
+        out = env.settle(xs)
+        R, C = env.reward_coef, env.consumption_coef
+        # L_t(x_t, y_t); vecdot adds each row as y @ v does
+        values = -out.rewards - np.vecdot(ys, bT - out.consumptions)
+        quad, lin, const = (-R[:, k] + _y_weighted(ys, C[:, :, k]) for k in range(3))
+        rows_x = (quad[:, None], lin[:, None], const - np.vecdot(ys, bT))
+        rows_y = (np.zeros_like(out.consumptions), out.consumptions - bT, -out.rewards)
+        r_sums = _running(R, np.zeros_like(R[0]))
+        c_sums = _running(C, np.zeros_like(C[0]))
+        series = {"cum_reward": out.cumulative_reward, "violated": out.violated.astype(float)}
+        for i in range(inst.m):
+            series[f"budget_frac_{i + 1}"] = out.cumulative_consumption[:, i] / inst.b[i]
+        return Block(
+            values,
+            rows_x,
+            rows_y,
+            lambda k: KnapsackLagrangian(*quadratics(r_sums[k], c_sums[k]), (k + 1) * bT),
+            trace={
+                "rewards_collected": out.collected,
+                "reward_values": out.rewards,
+                "consumptions": out.consumptions,
+                "violated_flags": out.violated,
+            },
+            series=series,
+        )
+
+    yield (inst.lagrangian(*env.functions(t)) for t in range(inst.T)), account
 
 
 _ADVERSARIAL_CENTERS = 0.9
@@ -279,7 +340,26 @@ def _quadratic_suite_G(H: float, hw: float) -> float:
     )
 
 
+def _quadratic_params(p: dict) -> tuple[float, float]:
+    """(H, halfwidth), checked: the halfwidth sizes the box and the
+    Lipschitz constant, so a zero or non-finite one leaves no game."""
+    H, hw = float(p.get("H", 1.0)), float(p.get("halfwidth", 1.0))
+    if not (math.isfinite(H) and H >= 0):
+        raise ValueError(f"H must be finite and nonnegative, got {H!r}")
+    require_positive(halfwidth=hw)
+    return H, hw
+
+
+def _dimension(p: dict, key: str) -> int:
+    v = p.get(key, 2)
+    if not (math.isfinite(v) and v >= 1 and v == int(v)):
+        raise ValueError(f"{key} must be a positive integer, got {v!r}")
+    return int(v)
+
+
 def generate_scenario(spec: ScenarioSpec) -> Scenario:
+    """The scenario of spec; raises ValueError on an unknown generator or on
+    a horizon or parameter outside its range, naming the parameter."""
     gid, T = spec.generator_id, spec.T
     if T < 1:
         raise ValueError("horizon must be at least 1")
@@ -290,66 +370,52 @@ def generate_scenario(spec: ScenarioSpec) -> Scenario:
             raise ValueError("theorem6 scenarios need T divisible by 2")
         second = np.zeros((2, 2)) if gid.endswith("1") else INDIFFERENT_ROWS
 
-        def matrices(_run_seed):
-            for t in range(T):
-                yield MATCHING_PENNIES if t < T // 2 else second
+        def draw(start, n):
+            return np.array([MATCHING_PENNIES if t < T // 2 else second for t in range(start, start + n)])
 
         meta = {"G": 1.0, "G_l2": 2.0 * np.sqrt(2.0), "H": 0.0, "d1": 2, "d2": 2}
-        return _OMGScenario(spec, 2, 2, meta, matrices)
+        return Scenario(spec, "omg", Simplex(2), Simplex(2), meta, lambda _run_seed: _matrix_blocks(T, draw))
 
     if gid in ("sec8_instance1", "sec8_instance2"):
         switch = T // 3
         post = (-1.0, -2.0) if gid.endswith("1") else (-1.0, 3.0)
-
-        def payoffs(_run_seed):
-            for t in range(T):
-                pp, qq = (2.0, -1.0) if t < switch else post
-                yield make_quadratic_bilinear(1.0, 1.0, pp, qq, 10.0, 10.0)
-
+        centers = np.array([(2.0, -1.0) if t < switch else post for t in range(T)])
         X = Box(np.array([-10.0]), np.array([10.0]))
         Y = Box(np.array([-10.0]), np.array([10.0]))
         G = make_quadratic_bilinear(1.0, 1.0, 2.0, -1.0, 10.0, 10.0).lipschitz_G
         meta = {"G": G, "H": 1.0, "switch_round": switch}
-        return _OSPScenario(spec, X, Y, meta, payoffs)
+        return Scenario(spec, "osp", X, Y, meta, lambda _run_seed: _quadratic_blocks(centers, 1.0, 10.0))
 
-    if gid == "iid_quadratic":
-        H = float(p.get("H", 1.0))
-        hw = float(p.get("halfwidth", 1.0))
-
-        def payoffs(run_seed):
-            rng = _stream_rng(spec.seed, run_seed)
-            for _ in range(T):
-                pp = rng.uniform(-hw, hw)
-                qq = rng.uniform(-hw, hw)
-                yield make_quadratic_bilinear(1.0, H, pp, qq, hw, hw)
-
+    if gid in ("iid_quadratic", "adversarial_quadratic"):
+        H, hw = _quadratic_params(p)
         X = Box(np.array([-hw]), np.array([hw]))
         Y = Box(np.array([-hw]), np.array([hw]))
         meta = {"G": _quadratic_suite_G(H, hw), "H": H}
-        return _OSPScenario(spec, X, Y, meta, payoffs)
+        if gid == "iid_quadratic":
+            # one (T, 2) draw interleaves p_t and q_t as per-round draws would
+            def blocks(run_seed):
+                return _quadratic_blocks(_stream_rng(spec.seed, run_seed).uniform(-hw, hw, size=(T, 2)), H, hw)
 
-    if gid == "adversarial_quadratic":
-        H = float(p.get("H", 1.0))
-        hw = float(p.get("halfwidth", 1.0))
-        variant = spec.seed % 5
-
-        def payoffs(_run_seed):
-            for pp, qq in _adversarial_pairs(T, variant):
-                yield make_quadratic_bilinear(1.0, H, pp, qq, hw, hw)
-
-        X = Box(np.array([-hw]), np.array([hw]))
-        Y = Box(np.array([-hw]), np.array([hw]))
-        meta = {"G": _quadratic_suite_G(H, hw), "H": H, "variant": variant}
-        return _OSPScenario(spec, X, Y, meta, payoffs)
+            return Scenario(spec, "osp", X, Y, meta, blocks)
+        meta["variant"] = variant = spec.seed % 5
+        centers = np.array(list(_adversarial_pairs(T, variant)), dtype=float)
+        return Scenario(spec, "osp", X, Y, meta, lambda _run_seed: _quadratic_blocks(centers, H, hw))
 
     if gid == "random_bilinear":
-        d1 = int(p.get("d1", 2))
-        d2 = int(p.get("d2", 2))
+        d1, d2 = _dimension(p, "d1"), _dimension(p, "d2")
 
-        def matrices(run_seed):
+        def blocks(run_seed):
             rng = _stream_rng(spec.seed, run_seed)
-            for _ in range(T):
-                yield rng.integers(0, 2, size=(d1, d2)).astype(float) * 2.0 - 1.0
+
+            def draw(_start, n):
+                # equals n per-round draws: PCG64 keeps an unused 32-bit half
+                # of its output in its state from call to call
+                mats = rng.integers(0, 2, size=(n, d1, d2)).astype(float)
+                mats *= 2.0
+                mats -= 1.0
+                return mats
+
+            return _matrix_blocks(T, draw)
 
         meta = {
             "G": 1.0,
@@ -358,7 +424,7 @@ def generate_scenario(spec: ScenarioSpec) -> Scenario:
             "d1": d1,
             "d2": d2,
         }
-        return _OMGScenario(spec, d1, d2, meta, matrices)
+        return Scenario(spec, "omg", Simplex(d1), Simplex(d2), meta, blocks)
 
     if gid == "ocowk_sec8":
         budgets = tuple(p.get("budgets_per_round", (200.0, 4.0)))
@@ -369,7 +435,11 @@ def generate_scenario(spec: ScenarioSpec) -> Scenario:
             "y_max": tuple(float(v) for v in instance.y_max),
             "budgets_per_round": budgets,
         }
-        return _OCOwKScenario(spec, instance, meta)
+
+        def blocks(run_seed):
+            return _knapsack_blocks(instance, run_seed)
+
+        return Scenario(spec, "ocowk", instance.X, instance.dual_set(), meta, blocks, instance)
 
     raise ValueError(f"unknown generator {gid!r}")
 
@@ -586,23 +656,29 @@ def _hindsight_cfg(resolved, warm) -> SolverConfig:
     )
 
 
-def _series_store(emit: bool):
-    return {
-        "t": [],
-        "cum_payoff": [],
-        "cum_sp_regret": [],
-        "cum_ind_x": [],
-        "cum_ind_y": [],
-    } if emit else None
+def _carried(rows: tuple, before: tuple | None) -> tuple:
+    """The running sums of restriction rows through each round of a block,
+    carried on from the last round of the block before."""
+    if before is None:
+        return tuple(_running(a) for a in rows)
+    return tuple(_running(a, b[-1]) for a, b in zip(rows, before))
 
 
-def _run_game(scenario: Scenario, name: str, resolved: dict, seed: int, emit_series: bool) -> RunResult:
-    """Play the T rounds and fold each into the running sums as it is played.
+def _optimum(rows: tuple, k: int, dset: FeasibleSet, maximize: bool) -> float:
+    restriction = SeparableQuadratic(*(r[k] for r in rows))
+    val, _ = restriction.maximize_over(dset) if maximize else restriction.minimize_over(dset)
+    return float(val)
 
-    Each round's payoff is charged at the played pair: the algorithm's
-    action, or for the bandit the sampled pure pair (e_i, e_j), whose value
-    and restrictions are A[i, j], A[:, j] and A[i, :] exactly (products with
-    0 and 1).  The bandit's algorithm sees only that entry.
+
+def _run(scenario: Scenario, name: str, resolved: dict, seed: int, emit_series: bool) -> RunResult:
+    """Play each block of rounds, then account for it at the played pairs.
+
+    A round is charged at the played pair: the algorithm's action, or for
+    the bandit the sampled pure pair (e_i, e_j), whose value and
+    restrictions are A[i, j], A[:, j] and A[i, :] exactly (products with 0
+    and 1).  The bandit's algorithm sees only that entry.  The running
+    restriction rows carry from block to block, and only the last block's
+    are kept, so memory stays O(block) beyond the per-round trace.
     """
     start = time.perf_counter()
     algo = _build_algorithm(scenario, name, resolved, seed)
@@ -610,178 +686,94 @@ def _run_game(scenario: Scenario, name: str, resolved: dict, seed: int, emit_ser
     bandit = name == "bandit_omg_rftl"
     if bandit:
         vertices_x, vertices_y = np.eye(X.dimension), np.eye(Y.dimension)
-    msum = SumPayoff()
-    acc_x = RestrictionAccumulator()
-    acc_y = RestrictionAccumulator()
-    xs, ys, vals, gaps, sampled = [], [], [], [], []
-    series = _series_store(emit_series)
-    hind_track = None
-    for payoff in scenario.payoffs(seed):
-        x, y = algo.current_action
-        xs.append(x)
-        ys.append(y)
+    xs, ys, gaps, sampled, values, columns, extra_series = [], [], [], [], [], {}, {}
+    series = {k: [] for k in ("t", "cum_payoff", "cum_sp_regret", "cum_ind_x", "cum_ind_y")} if emit_series else None
+    hind_track = sums_x = sums_y = None
+    for payoffs, account in scenario.blocks(seed):
+        t0 = len(xs)
+        for payoff in payoffs:
+            x, y = algo.current_action
+            xs.append(x)
+            ys.append(y)
+            if bandit:
+                i, j, est = algo.step(lambda ii, jj: payoff.A[ii, jj])
+                sampled.append((i, j, est.observed_entry))
+            else:
+                algo.step(payoff)
+            gaps.append(algo.last_gap)
         if bandit:
-            i, j, est = algo.step(lambda ii, jj: payoff.A[ii, jj])
-            sampled.append((i, j, est.observed_entry))
-            x, y = vertices_x[i], vertices_y[j]
+            i, j, _ = zip(*sampled[t0:])
+            block = account(vertices_x[list(i)], vertices_y[list(j)])
         else:
-            algo.step(payoff)
-        gaps.append(algo.last_gap)
-        vals.append(payoff.value(x, y))
-        msum.add(payoff)
-        acc_x.add(payoff.restrict_x(y))
-        acc_y.add(payoff.restrict_y(x))
-        if series is not None:
-            cfg = SolverConfig(
-                tol_gap=float(resolved["tol_gap"][0]),
-                max_iters=int(resolved["max_iters"][0]),
-                warm_start=hind_track,
-            )
-            sol = solve_saddle(msum, X, Y, cfg)
+            block = account(np.asarray(xs[t0:]), np.asarray(ys[t0:]))
+        values.append(block.values)
+        sums_x, sums_y = _carried(block.rows_x, sums_x), _carried(block.rows_y, sums_y)
+        for key, col in block.trace.items():
+            columns.setdefault(key, []).append(col)
+        if series is None:
+            continue
+        for key, col in block.series.items():
+            extra_series.setdefault(key, []).append(col)
+        played = np.concatenate(values)
+        for k in range(len(block.values)):
+            cfg = replace(_solver_config(resolved), warm_start=hind_track)
+            sol = solve_saddle(block.hindsight(k), X, Y, cfg)
             hind_track = (sol.x_star, sol.y_star)
-            cum = float(np.sum(vals))
-            series["t"].append(len(vals))
+            cum = float(np.sum(played[: t0 + k + 1]))
+            series["t"].append(t0 + k + 1)
             series["cum_payoff"].append(cum)
             series["cum_sp_regret"].append(abs(cum - sol.certified_value(cfg)))
-            series["cum_ind_x"].append(cum - acc_x.minimize(X))
-            series["cum_ind_y"].append(acc_y.maximize(Y) - cum)
+            series["cum_ind_x"].append(cum - _optimum(sums_x, k, X, False))
+            series["cum_ind_y"].append(_optimum(sums_y, k, Y, True) - cum)
+    last = len(block.values) - 1
     warm = algo.current_action
     cfg = _hindsight_cfg(resolved, warm)
-    hv = solve_saddle(msum, X, Y, cfg).certified_value(cfg)
-    realized = float(np.sum(vals))
-    report = RegretReport(
-        sp_regret=abs(realized - hv),
-        ind_regret_x=realized - acc_x.minimize(X),
-        ind_regret_y=acc_y.maximize(Y) - realized,
-        hindsight_value=hv,
-        per_round_series={k: np.asarray(v) for k, v in series.items()} if series else None,
-        extras={"delta": float(resolved["delta"][0])} if bandit else {},
-    )
+    hv = solve_saddle(block.hindsight(last), X, Y, cfg).certified_value(cfg)
+    payoff_values = np.concatenate(values)
+    realized = float(np.sum(payoff_values))
     trace = RoundTrace(
         xs=np.asarray(xs),
         ys=np.asarray(ys),
-        payoff_values=np.asarray(vals),
+        payoff_values=payoff_values,
         solver_gaps=np.asarray(gaps),
         final_x=warm[0].copy(),
         final_y=warm[1].copy(),
+        **{k: np.concatenate(v) for k, v in columns.items()},
     )
     if bandit:
         trace.sampled_i, trace.sampled_j, trace.observed_entries = (np.asarray(v) for v in zip(*sampled))
-    wall = (time.perf_counter() - start) * 1e3
-    return RunResult(seed, trace, report, wall, algo.budget_exceeded_rounds)
-
-
-def _running(a: np.ndarray, start=None) -> np.ndarray:
-    """Running sums of a along rounds (axis 0), added in round order from
-    start (or from the first row), so row t has the bits of a round-by-round
-    accumulator after round t; np.sum would add in a pairwise order."""
-    if start is not None:
-        return np.cumsum(np.concatenate([start[None], a]), axis=0)[1:]
-    return np.cumsum(a, axis=0)
-
-
-def _y_weighted(YS: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """sum_i y_i * K[:, i] per round, added in the order of a per-round
-    Python sum over the resources."""
-    acc = 0.0
-    for i in range(K.shape[1]):
-        acc = acc + YS[:, i] * K[:, i]
-    return acc
-
-
-def _run_ocowk(scenario: Scenario, name: str, resolved: dict, seed: int, emit_series: bool) -> RunResult:
-    """Play the T rounds, then settle the budget and assemble every trace
-    field, accumulator and series in one pass over arrays.  This is exact
-    because no knapsack agent reads the budget state."""
-    start = time.perf_counter()
-    inst = scenario.instance
-    env = KnapsackEnvironment(inst, seed)
-    algo = _build_algorithm(scenario, name, resolved, seed)
-    X, Y = inst.X, inst.dual_set()
-    xs, ys, gaps = [], [], []
-    for t in range(inst.T):
-        x_t, y_t = algo.current_action
-        xs.append(x_t)
-        ys.append(y_t)
-        algo.step(inst.lagrangian(*env.functions(t)))
-        gaps.append(algo.last_gap)
-    XS, YS = np.asarray(xs), np.asarray(ys)
-    out = env.settle(XS)
-    R, C = env.reward_coef, env.consumption_coef
-    bT = inst.b / inst.T
-    # the per-round Lagrangian values L_t(x_t, y_t); vecdot adds each row as y @ v does
-    vals = -out.rewards - np.vecdot(YS, bT - out.consumptions)
-    # running sums of L_t(., y_t) and L_t(x_t, .), both separable quadratics
-    x_quad, x_lin, x_const = (-R[:, k] + _y_weighted(YS, C[:, :, k]) for k in range(3))
-    ind_x_quad, ind_x_lin = _running(x_quad), _running(x_lin)
-    ind_x_const = _running(x_const - np.vecdot(YS, bT))
-    ind_y_lin = _running(out.consumptions - bT)
-    ind_y_const = _running(-out.rewards)
-    r_sums = _running(R, np.zeros_like(R[0]))
-    c_sums = _running(C, np.zeros_like(C[0]))
-
-    def restriction_x(t: int) -> SeparableQuadratic:
-        return SeparableQuadratic(ind_x_quad[t : t + 1], ind_x_lin[t : t + 1], ind_x_const[t])
-
-    def restriction_y(t: int) -> SeparableQuadratic:
-        return SeparableQuadratic(np.zeros(inst.m), ind_y_lin[t], ind_y_const[t])
-
-    def hindsight_sum(t: int) -> KnapsackLagrangian:
-        return KnapsackLagrangian(*quadratics(r_sums[t], c_sums[t]), (t + 1) * bT)
-
-    series = None
-    if emit_series:
-        cums = np.array([vals[: t + 1].sum() for t in range(inst.T)])
-        cfg = _solver_config(resolved)
-        hvs = np.array([solve_saddle(hindsight_sum(t), X, Y, cfg).certified_value(cfg) for t in range(inst.T)])
-        series = {
-            "t": np.arange(1, inst.T + 1),
-            "cum_payoff": cums,
-            "cum_sp_regret": np.abs(cums - hvs),
-            "cum_ind_x": cums - np.array([restriction_x(t).minimize_over(X)[0] for t in range(inst.T)]),
-            "cum_ind_y": np.array([restriction_y(t).maximize_over(Y)[0] for t in range(inst.T)]) - cums,
-            "cum_reward": out.cumulative_reward,
-            "violated": out.violated.astype(float),
-        }
-        for i in range(inst.m):
-            series[f"budget_frac_{i + 1}"] = out.cumulative_consumption[:, i] / inst.b[i]
-    last = inst.T - 1
-    realized = float(np.sum(vals))
-    cfg = _hindsight_cfg(resolved, algo.current_action)
-    hv = solve_saddle(hindsight_sum(last), X, Y, cfg).certified_value(cfg)
-    r_star = float(resolved["r_star"][0])
-    dagger = float(restriction_y(last).maximize_over(Y)[0]) - realized
-    ddagger = realized + r_star  # realized Lagrangian sum minus (-r*)
-    total_reward = env.state.cumulative_reward
     report = RegretReport(
         sp_regret=abs(realized - hv),
-        ind_regret_x=realized - float(restriction_x(last).minimize_over(X)[0]),
-        ind_regret_y=dagger,
+        ind_regret_x=realized - _optimum(sums_x, last, X, False),
+        ind_regret_y=_optimum(sums_y, last, Y, True) - realized,
         hindsight_value=hv,
-        per_round_series=series,
-        extras={
-            "r_star": r_star,
-            "cumulative_reward": total_reward,
-            "knapsack_regret": knapsack_regret(total_reward, r_star),
-            "reward_ratio": total_reward / r_star if r_star != 0 else np.nan,
-            "dagger": dagger,
-            "ddagger": ddagger,
-            "violated": bool(env.state.violated),
-            "reward_lower_bound": reward_lower_bound(out.rewards, out.consumptions, inst),
+        per_round_series=None if series is None else {
+            **{k: np.asarray(v) for k, v in series.items()},
+            **{k: np.concatenate(v) for k, v in extra_series.items()},
         },
     )
-    trace = RoundTrace(
-        xs=XS,
-        ys=YS,
-        payoff_values=vals,
-        solver_gaps=np.asarray(gaps),
-        rewards_collected=out.collected,
-        reward_values=out.rewards,
-        consumptions=out.consumptions,
-        violated_flags=out.violated,
-    )
+    if bandit:
+        report.extras = {"delta": float(resolved["delta"][0])}
+    if scenario.kind == "ocowk":
+        report.extras = _knapsack_extras(scenario.instance, resolved, block, trace, realized, report.ind_regret_y)
     wall = (time.perf_counter() - start) * 1e3
     return RunResult(seed, trace, report, wall, algo.budget_exceeded_rounds)
+
+
+def _knapsack_extras(inst, resolved, block, trace, realized, dagger) -> dict:
+    """The knapsack outcome, read from the last block's running columns."""
+    r_star = float(resolved["r_star"][0])
+    total_reward = float(block.series["cum_reward"][-1])
+    return {
+        "r_star": r_star,
+        "cumulative_reward": total_reward,
+        "knapsack_regret": knapsack_regret(total_reward, r_star),
+        "reward_ratio": total_reward / r_star if r_star != 0 else np.nan,
+        "dagger": dagger,
+        "ddagger": realized + r_star,  # realized Lagrangian sum minus (-r*)
+        "violated": bool(block.trace["violated_flags"][-1]),
+        "reward_lower_bound": reward_lower_bound(trace.reward_values, trace.consumptions, inst),
+    }
 
 
 def run_single(
@@ -794,9 +786,7 @@ def run_single(
     scenario = generate_scenario(spec)
     if resolved is None:
         resolved = resolve_parameters(scenario, algo)
-    if scenario.kind == "ocowk":
-        return _run_ocowk(scenario, algo.name, resolved, seed, emit_series)
-    return _run_game(scenario, algo.name, resolved, seed, emit_series)
+    return _run(scenario, algo.name, resolved, seed, emit_series)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 
 from .geometry import FeasibleSet
 from .payoffs import PayoffFunction, Regularizer, SumPayoff, regularize
-from .saddle_solver import SolverConfig, solve_saddle
+from .saddle_solver import SolverConfig, require_positive, solve_saddle
 
 
 @dataclass
@@ -79,8 +79,7 @@ class SPRFTLConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        require_positive(eta=self.eta)
 
 
 def corollary1_eta(D: float, G: float, T: int) -> float:
@@ -124,8 +123,9 @@ class OGDAConfig:
     def __post_init__(self):
         if self.schedule not in ("diminishing", "constant"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.constant <= 0 or (self.constant_y is not None and self.constant_y <= 0):
-            raise ValueError("step constant must be positive")
+        require_positive(constant=self.constant)
+        if self.constant_y is not None:
+            require_positive(constant_y=self.constant_y)
 
 
 class OGDA:

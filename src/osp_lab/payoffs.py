@@ -1,14 +1,16 @@
 """Convex-concave payoff functions with values, subgradients, and metadata.
 
-A payoff knows its Lipschitz constant (w.r.t. a declared norm), its joint
-strong convexity-concavity modulus, and how to restrict itself to one
-argument.  The library has three payoff families: scalar convex-concave
-quadratics, bilinear games (optionally with entropy or squared-norm
-regularizers), and the knapsack Lagrangians of ``knapsack``.  Each restricts
-in closed form to a separable quadratic or a linear-plus-entropy form, whose
-exact optimization over a feasible set gives every duality-gap certificate
-and best response.  A payoff without such a restriction is refused with a
-``TypeError``; nothing falls back to an iterative inner solve.
+A payoff knows its Lipschitz constant (w.r.t. a declared norm) and its
+joint strong convexity-concavity modulus.  The library has three payoff
+families: scalar convex-concave quadratics, bilinear games (optionally with
+entropy or squared-norm regularizers), and the knapsack Lagrangians of
+``knapsack``.  Only their running sum restricts itself to one argument: a
+`SumPayoff` of any of them restricts in closed form to a separable quadratic
+or a linear-plus-entropy form, whose exact optimization over a feasible set
+gives every duality-gap certificate.  A payoff the sum cannot fold is
+refused with a ``TypeError``; nothing falls back to an iterative inner
+solve.  The harness reads its best responses from restriction rows that the
+scenarios compute in array passes (``metrics_harness``).
 
 A payoff whose x is 1-D may give its coefficient rows (``envelope_rows``):
 f = p(x) + sum_i y_i g_i(x) - h ||y||^2, with p and each g_i a row
@@ -19,8 +21,8 @@ regularizers are squared norms, which fold into p's x^2 entry and into h.
 `SumPayoff` is the library's one running sum, of O(1) size so
 follow-the-leader style algorithms stay cheap over long horizons.  It holds
 either the summed rows (p, G, h) or a summed matrix with one regularizer
-slot per axis, and it builds every closed-form restriction the solver
-certifies with from that state.
+slot per axis, and it builds from that state every closed-form restriction
+the solver certifies with.
 """
 
 from __future__ import annotations
@@ -202,7 +204,9 @@ class PayoffFunction:
     The one structure hint is ``envelope_rows``: the coefficient rows of a
     payoff whose x is 1-D, or None.  `SumPayoff` folds the rows it is given
     and hands its sum to the solver, which sees only running sums and reads
-    their other hints (``matrix`` and the two ``is_*`` tests) there.
+    their other hints (``matrix`` and the two ``is_*`` tests) there.  A
+    payoff has no one-argument restrictions of its own: the sum builds the
+    ones the certificates need.
     """
 
     lipschitz_G: float = 0.0
@@ -217,13 +221,6 @@ class PayoffFunction:
 
     def grad_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def restrict_x(self, y: np.ndarray):
-        """Closed-form view of x -> value(x, y), or None if there is none."""
-        return None
-
-    def restrict_y(self, x: np.ndarray):
-        return None
 
     def envelope_rows(self):
         """(p, G, h) when f(x, y) = p(x) + sum_i y_i G_i(x) - h ||y||^2 on
@@ -271,22 +268,6 @@ class ScalarQuadraticBilinear(PayoffFunction):
 
     def grad_y(self, x, y):
         return np.array([self.cxy * float(x[0]) + 2.0 * self.cy2 * float(y[0]) + self.cy1])
-
-    def restrict_x(self, y):
-        yv = float(y[0])
-        return SeparableQuadratic(
-            quad=np.array([self.cx2]),
-            lin=np.array([self.cxy * yv + self.cx1]),
-            const=self.cy2 * yv * yv + self.cy1 * yv + self.c0,
-        )
-
-    def restrict_y(self, x):
-        xv = float(x[0])
-        return SeparableQuadratic(
-            quad=np.array([self.cy2]),
-            lin=np.array([self.cxy * xv + self.cy1]),
-            const=self.cx2 * xv * xv + self.cx1 * xv + self.c0,
-        )
 
     def envelope_rows(self):
         """p = (cx2, cx1, c0), one row (0, cxy, cy1) and h = -cy2."""
@@ -377,16 +358,6 @@ class BilinearPayoff(PayoffFunction):
 
     def grad_y(self, x, y):
         return self.A.T @ x
-
-    def restrict_x(self, y):
-        return SeparableQuadratic(
-            quad=np.zeros(self.A.shape[0]), lin=self.A @ y, const=0.0
-        )
-
-    def restrict_y(self, x):
-        return SeparableQuadratic(
-            quad=np.zeros(self.A.shape[1]), lin=self.A.T @ x, const=0.0
-        )
 
 
 def bilinear_lipschitz(A: np.ndarray, norm_tag: str = "l1") -> float:

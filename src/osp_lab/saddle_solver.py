@@ -85,6 +85,16 @@ class NonFiniteGradientError(RuntimeError):
     pass
 
 
+def require_positive(**params: float) -> None:
+    """Raise ValueError naming the first parameter that is not a positive
+    finite number.  NaN fails every comparison, so a bare ``x <= 0`` check
+    would let it through, and a NaN tolerance would switch certification
+    off (``gap > nan`` is False)."""
+    for name, value in params.items():
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass
 class SolverConfig:
     tol_gap: float = 1e-8
@@ -92,10 +102,7 @@ class SolverConfig:
     warm_start: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.tol_gap <= 0:
-            raise ValueError("tol_gap must be positive")
-        if self.max_iters <= 0:
-            raise ValueError("max_iters must be positive")
+        require_positive(tol_gap=self.tol_gap, max_iters=self.max_iters)
 
 
 @dataclass
@@ -128,13 +135,6 @@ def _as_sum(f: PayoffFunction) -> SumPayoff:
         return f
     s = SumPayoff()
     s.add(f)
-    return s
-
-
-def assemble_sum(history) -> SumPayoff:
-    s = SumPayoff()
-    for p in history:
-        s.add(p)
     return s
 
 
@@ -853,18 +853,3 @@ def solve_saddle(
         y0 = np.maximum(y0, 1e-300)
         y0 = y0 / y0.sum()
     return _mirror_prox(f, X, Y, x0, y0, cfg, entropic)
-
-
-def hindsight_value(
-    history,
-    X: FeasibleSet,
-    Y: FeasibleSet,
-    cfg: SolverConfig | None = None,
-) -> float:
-    """Value of min_x max_y of the summed history; raises RuntimeError when
-    the solve spends its budget without certifying the value to tol_gap."""
-    total = assemble_sum(history)
-    if total.count == 0:
-        raise ValueError("hindsight_value needs a nonempty history")
-    cfg = cfg or SolverConfig()
-    return solve_saddle(total, X, Y, cfg).certified_value(cfg)

@@ -1,15 +1,19 @@
 """Brute-force oracles that only the tests use.
 
-Like ``osp_lab.oracles``, they avoid the production solver paths on
+Like ``osp_lab.oracles``, most avoid the production solver paths on
 purpose: a grid search of the entropic 2x2 game, random feasible points for
-property checks, and central finite differences of a payoff.
+property checks, and central finite differences of a payoff.  The post-hoc
+regret oracles recompute a run's regrets from its payoff list, one
+restriction per round, where the harness accounts in array passes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from osp_lab.geometry import Box, Simplex
+from osp_lab.geometry import Box, FeasibleSet, Simplex
+from osp_lab.payoffs import SeparableQuadratic, SumPayoff
+from osp_lab.saddle_solver import SolverConfig, solve_saddle
 
 
 def grid_entropic_game_2x2(
@@ -72,3 +76,61 @@ def finite_difference_grads(payoff, x, y, step: float = 1e-6):
         e[j] = step
         gy[j] = (payoff.value(x, y + e) - payoff.value(x, y - e)) / (2 * step)
     return gx, gy
+
+
+def assemble_sum(history) -> SumPayoff:
+    s = SumPayoff()
+    for p in history:
+        s.add(p)
+    return s
+
+
+def hindsight_value(history, X: FeasibleSet, Y: FeasibleSet, cfg: SolverConfig | None = None) -> float:
+    """Value of min_x max_y of the summed history; raises RuntimeError when
+    the solve spends its budget without certifying the value to tol_gap."""
+    total = assemble_sum(history)
+    if total.count == 0:
+        raise ValueError("hindsight_value needs a nonempty history")
+    cfg = cfg or SolverConfig()
+    return solve_saddle(total, X, Y, cfg).certified_value(cfg)
+
+
+def compute_sp_regret(trace, history, X: FeasibleSet, Y: FeasibleSet, cfg: SolverConfig | None = None) -> float:
+    """|sum of realized payoffs - min_x max_y of the summed history|."""
+    return abs(float(trace.payoff_values.sum()) - hindsight_value(history, X, Y, cfg))
+
+
+def compute_individual_regrets(trace, history, X: FeasibleSet, Y: FeasibleSet) -> tuple[float, float]:
+    """(realized - best fixed x vs the y_t sequence,
+        best fixed y vs the x_t sequence - realized), each best response the
+    exact optimum of the summed one-term restrictions f_t(., y_t) and
+    f_t(x_t, .); either regret may be negative."""
+    acc_x, acc_y = RestrictionSum(), RestrictionSum()
+    for t, payoff in enumerate(history):
+        one = assemble_sum([payoff])
+        acc_x.add(one.restrict_x(trace.ys[t]))
+        acc_y.add(one.restrict_y(trace.xs[t]))
+    realized = float(trace.payoff_values.sum())
+    return realized - acc_x.minimize(X), acc_y.maximize(Y) - realized
+
+
+class RestrictionSum:
+    """Round-by-round sum of separable-quadratic restrictions, added in
+    round order from a copy of the first (the retired harness accumulator)."""
+
+    def __init__(self):
+        self._sum: SeparableQuadratic | None = None
+
+    def add(self, restriction: SeparableQuadratic) -> None:
+        if self._sum is None:
+            self._sum = SeparableQuadratic(restriction.quad.copy(), restriction.lin.copy(), restriction.const)
+        else:
+            self._sum.quad += restriction.quad
+            self._sum.lin += restriction.lin
+            self._sum.const += restriction.const
+
+    def minimize(self, dset: FeasibleSet) -> float:
+        return float(self._sum.minimize_over(dset)[0])
+
+    def maximize(self, dset: FeasibleSet) -> float:
+        return float(self._sum.maximize_over(dset)[0])

@@ -35,10 +35,11 @@ from osp_lab.saddle_solver import (
     LP_PIVOTS_PER_DIM,
     SolverConfig,
     gap_estimate,
-    hindsight_value,
     solve_matrix_game_lp,
     solve_saddle,
 )
+
+from brute_oracles import hindsight_value
 
 # ---------------------------------------------------------------------------
 # The simplex-method LP against HiGHS

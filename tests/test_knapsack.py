@@ -23,10 +23,26 @@ from osp_lab.knapsack import (
     sec82_instance,
     theorem8_steps,
 )
-from osp_lab.metrics_harness import AlgorithmSpec, RestrictionAccumulator, ScenarioSpec, run_single
+from osp_lab.metrics_harness import AlgorithmSpec, ScenarioSpec, run_single
 from osp_lab.oracles import grid_knapsack_benchmark, sec82_expectation_check
 from osp_lab.payoffs import SeparableQuadratic, SquaredNormRegularizer, SumPayoff, regularize
 from osp_lab.saddle_solver import SolverConfig, envelope_argmin, solve_saddle
+
+from brute_oracles import RestrictionSum
+
+
+def _restrict_x(L: KnapsackLagrangian, y) -> SeparableQuadratic:
+    """x -> L(x, y), by the retired ``KnapsackLagrangian.restrict_x``."""
+    quad = -L.r.a2 + sum(float(y[i]) * L.c[i].a2 for i in range(len(L.c)))
+    lin = -L.r.a1 + sum(float(y[i]) * L.c[i].a1 for i in range(len(L.c)))
+    const = -L.r.a0 + sum(float(y[i]) * L.c[i].a0 for i in range(len(L.c))) - float(y @ L.b_over_T)
+    return SeparableQuadratic(np.array([quad]), np.array([lin]), const)
+
+
+def _restrict_y(L: KnapsackLagrangian, x) -> SeparableQuadratic:
+    """y -> L(x, y), by the retired ``KnapsackLagrangian.restrict_y``."""
+    xv = float(x[0])
+    return SeparableQuadratic(np.zeros(L.b_over_T.shape[0]), np.array([ci(xv) for ci in L.c]) - L.b_over_T, -L.r(xv))
 
 
 def test_lagrangian_values():
@@ -53,9 +69,9 @@ def test_lagrangian_gradients_and_restrictions():
     assert abs(gx[0] - (-(-4.0 + 7.0) + 0.2 * (16.0 + 50.0) + 1.5 * 1.0)) < 1e-12
     gy = L.grad_y(x, y)
     assert np.allclose(gy, [16.0 + 100.0 - 200.0, 2.0 - 4.0])
-    rx = L.restrict_x(y)
+    rx = _restrict_x(L, y)
     assert abs(rx.value(x) - L.value(x, y)) < 1e-12
-    ry = L.restrict_y(x)
+    ry = _restrict_y(L, x)
     assert abs(ry.value(y) - L.value(x, y)) < 1e-12
 
 
@@ -298,8 +314,8 @@ def test_rftl_component_regret_bound():
         L = inst.lagrangian(out.reward_fn, out.consumption_fns)
         xs.append(x_t)
         ys.append(y_t)
-        fs.append(L.restrict_x(y_t))
-        gs.append(L.restrict_y(x_t))
+        fs.append(_restrict_x(L, y_t))
+        gs.append(_restrict_y(L, x_t))
         agent.step(L)
     # realized linearized losses vs best fixed points
     f_acc = SeparableQuadratic(np.zeros(1), np.zeros(1), 0.0)
@@ -729,7 +745,7 @@ def test_ocowk_run_matches_a_hand_loop_over_steps(name, budgets, emit_series):
         agent = SPFTLKnapsackAgent(inst, H=T ** (-1.0 / 6.0), solver=solver)
     env = KnapsackEnvironment(inst, seed)
     raw_sum = SumPayoff()
-    acc_x, acc_y = RestrictionAccumulator(), RestrictionAccumulator()
+    acc_x, acc_y = RestrictionSum(), RestrictionSum()
     cols = {
         k: []
         for k in ("xs", "ys", "payoff_values", "solver_gaps", "reward_values",
@@ -745,8 +761,8 @@ def test_ocowk_run_matches_a_hand_loop_over_steps(name, budgets, emit_series):
         out = env.step(x_t)
         L = inst.lagrangian(out.reward_fn, out.consumption_fns)
         raw_sum.add(L)
-        acc_x.add(L.restrict_x(y_t))
-        acc_y.add(L.restrict_y(x_t))
+        acc_x.add(_restrict_x(L, y_t))
+        acc_y.add(_restrict_y(L, x_t))
         agent.step(L)
         st = env.state
         row = (x_t, y_t, L.value(x_t, y_t), agent.last_gap, out.reward_value, out.reward_collected,

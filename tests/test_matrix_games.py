@@ -15,9 +15,9 @@ from osp_lab.matrix_games import (
 )
 from osp_lab.oracles import enumerate_estimator_expectation
 from osp_lab.payoffs import make_bilinear
-from osp_lab.saddle_solver import SolverConfig, hindsight_value
+from osp_lab.saddle_solver import SolverConfig
 
-from brute_oracles import grid_entropic_game_2x2, random_feasible_point
+from brute_oracles import grid_entropic_game_2x2, hindsight_value, random_feasible_point
 
 MP = np.array([[1.0, -1.0], [-1.0, 1.0]])
 

@@ -9,15 +9,15 @@ from osp_lab.metrics_harness import (
     IncompatiblePairingError,
     RoundTrace,
     ScenarioSpec,
-    compute_individual_regrets,
-    compute_sp_regret,
     generate_scenario,
     resolve_parameters,
     run_experiment,
     run_single,
 )
 from osp_lab.payoffs import make_bilinear, make_quadratic_bilinear
-from osp_lab.saddle_solver import SolverConfig
+from osp_lab.saddle_solver import SolverConfig, solve_saddle
+
+from brute_oracles import assemble_sum, compute_individual_regrets, compute_sp_regret
 
 MP = np.array([[1.0, -1.0], [-1.0, 1.0]])
 BOX1 = Box(np.array([-1.0]), np.array([1.0]))
@@ -81,8 +81,6 @@ def test_saddle_inequality_sanity():
         make_quadratic_bilinear(1.0, 1.0, rng.uniform(-1, 1), rng.uniform(-1, 1), 1.0, 1.0)
         for _ in range(7)
     ]
-    from osp_lab.saddle_solver import assemble_sum, solve_saddle
-
     total = assemble_sum(suite)
     sol = solve_saddle(total, BOX1, BOX1, SolverConfig(tol_gap=1e-11))
     v = sol.value
@@ -96,11 +94,11 @@ def test_saddle_inequality_sanity():
 def test_generate_scenario_theorem6_structure():
     spec = ScenarioSpec("theorem6_scenario1", T=8)
     scen = generate_scenario(spec)
-    mats = list(scen.matrices(0))
+    mats = [f.A for f in scen.payoffs(0)]
     assert np.allclose(mats[3], MP)
     assert np.allclose(mats[4], 0.0)  # zero matrix after the switch
     spec2 = ScenarioSpec("theorem6_scenario2", T=8)
-    mats2 = list(generate_scenario(spec2).matrices(0))
+    mats2 = [f.A for f in generate_scenario(spec2).payoffs(0)]
     assert np.allclose(mats2[7], [[1, -1], [1, -1]])
     with pytest.raises(ValueError):
         generate_scenario(ScenarioSpec("theorem6_scenario1", T=7))

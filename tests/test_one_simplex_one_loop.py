@@ -21,14 +21,12 @@ from osp_lab.geometry import DEFAULT_MEMBERSHIP_TOL, FeasibleSet, Simplex, proje
 from osp_lab.metrics_harness import (
     AlgorithmSpec,
     RegretReport,
-    RestrictionAccumulator,
     RoundTrace,
     RunResult,
     Scenario,
     ScenarioSpec,
     _build_algorithm,
     _hindsight_cfg,
-    _series_store,
     _solver_config,
     generate_scenario,
     resolve_parameters,
@@ -36,6 +34,8 @@ from osp_lab.metrics_harness import (
 )
 from osp_lab.payoffs import BilinearPayoff, SeparableQuadratic, SumPayoff
 from osp_lab.saddle_solver import solve_saddle
+
+from brute_oracles import RestrictionSum
 
 # ---------------------------------------------------------------------------
 # Retired references
@@ -145,11 +145,11 @@ def _retired_run_bandit(scenario: Scenario, resolved: dict, seed: int, emit_seri
     d2 = scenario.metadata["d2"]
     X_full, Y_full = Simplex(d1), Simplex(d2)
     msum = SumPayoff()
-    acc_x = RestrictionAccumulator()
-    acc_y = RestrictionAccumulator()
+    acc_x = RestrictionSum()
+    acc_y = RestrictionSum()
     xs, ys, vals, gaps, iis, jjs, obs = [], [], [], [], [], [], []
-    series = _series_store(emit_series)
-    for A in scenario.matrices(seed):
+    series = {k: [] for k in ("t", "cum_payoff", "cum_sp_regret", "cum_ind_x", "cum_ind_y")} if emit_series else None
+    for A in (f.A for f in scenario.payoffs(seed)):
         x_t, y_t = algo.current_action
         i, j, est = algo.step(lambda ii, jj: A[ii, jj])
         xs.append(x_t)

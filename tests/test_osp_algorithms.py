@@ -16,7 +16,9 @@ from osp_lab.payoffs import (
     make_bilinear,
     make_quadratic_bilinear,
 )
-from osp_lab.saddle_solver import SolverConfig, hindsight_value
+from osp_lab.saddle_solver import SolverConfig
+
+from brute_oracles import hindsight_value
 
 BOX1 = Box(np.array([-1.0]), np.array([1.0]))
 BOX10 = Box(np.array([-10.0]), np.array([10.0]))

@@ -21,14 +21,12 @@ from osp_lab.payoffs import (
 )
 from osp_lab.saddle_solver import (
     SolverConfig,
-    assemble_sum,
     gap_estimate,
-    hindsight_value,
     solve_matrix_game_2x2,
     solve_saddle,
 )
 
-from brute_oracles import random_feasible_point
+from brute_oracles import assemble_sum, hindsight_value, random_feasible_point
 
 MP = np.array([[1.0, -1.0], [-1.0, 1.0]])
 BOX10 = Box(np.array([-10.0]), np.array([10.0]))
