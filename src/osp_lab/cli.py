@@ -426,7 +426,7 @@ def _oracle_suite() -> list[tuple[str, bool, str]]:
     r_star = benchmark_r_star(inst)
     e_r, e_c = inst.sampler.expectation()
     per_round, x_star = oracles.grid_knapsack_benchmark(
-        e_r, e_c, inst.b / inst.T, (0.0, 20.0)
+        e_r, e_c, inst.b_over_T, (0.0, 20.0)
     )
     rel = abs(r_star - inst.T * per_round) / abs(inst.T * per_round)
     results.append(

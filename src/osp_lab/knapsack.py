@@ -137,6 +137,12 @@ class KnapsackInstance:
 
     y_max defaults to (max per-round reward) / (b_i / T), the reward gained
     per unit of budget; override when sharper bounds are known.
+
+    ``b_over_T`` is the per-round budget row every Lagrangian and the
+    accounting read, computed once: b_i / T, and 0 for an infinite b_i.  An
+    infinite budget never binds, and its default y_max_i is 0, so its dual
+    is pinned at 0 and a finite row drops the constraint, where b_i / T =
+    inf would make 0 * inf = NaN.
     """
 
     X: Box
@@ -145,6 +151,7 @@ class KnapsackInstance:
     sampler: object
     null_action: np.ndarray = field(default_factory=lambda: np.zeros(1))
     y_max: np.ndarray | None = None
+    b_over_T: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=float)
@@ -152,6 +159,7 @@ class KnapsackInstance:
             raise ValueError("budgets must be nonnegative")
         if self.T < 1:
             raise ValueError("horizon must be at least 1")
+        self.b_over_T = np.where(np.isfinite(self.b), self.b / self.T, 0.0)
         if not self.X.contains(self.null_action):
             raise ValueError("null action must be feasible")
         if self.y_max is None:
@@ -184,7 +192,7 @@ class KnapsackInstance:
         return Box(np.zeros(self.m), self.y_max)
 
     def lagrangian(self, r: QuadraticFn, c: list[QuadraticFn]) -> "KnapsackLagrangian":
-        return KnapsackLagrangian(r, c, self.b / self.T)
+        return KnapsackLagrangian(r, c, self.b_over_T)
 
     def lipschitz_G(self) -> float:
         return self.sampler.lipschitz_bound(float(self.X.upper[0]))
@@ -359,14 +367,20 @@ class PDRFTLConfig:
 
 def theorem8_steps(instance: KnapsackInstance) -> PDRFTLConfig:
     """eta1 = D_X / (G (1 + ||y_max||_2) sqrt(T)),
-    eta2 = ||y_max||_2 / ((||b||_2 / T + sqrt(m G D_X)) sqrt(T))."""
+    eta2 = ||y_max||_2 / ((||b||_2 / T + sqrt(m G D_X)) sqrt(T)).
+
+    ||b||_2 runs over the finite budgets: an infinite one never binds.
+    When ||y_max||_2 = 0 the y block is the single point 0, so eta2 does not
+    change the play; it then takes the value at ||y_max||_2 = 1, to stay
+    positive."""
     G = instance.lipschitz_G()
     D_X = instance.X.diameter()
     T = instance.T
     ymax2 = float(np.linalg.norm(instance.y_max))
     eta1 = D_X / (G * (1.0 + ymax2) * np.sqrt(T))
-    denom = float(np.linalg.norm(instance.b)) / T + np.sqrt(instance.m * G * D_X)
-    eta2 = ymax2 / (denom * np.sqrt(T))
+    b = instance.b
+    denom = float(np.linalg.norm(b[np.isfinite(b)])) / T + np.sqrt(instance.m * G * D_X)
+    eta2 = (ymax2 if ymax2 > 0.0 else 1.0) / (denom * np.sqrt(T))
     return PDRFTLConfig(eta1=eta1, eta2=eta2)
 
 
@@ -463,9 +477,8 @@ def benchmark_r_star(
         e_r, e_c = instance.sampler.expectation()
     else:
         e_r, e_c = expectation_oracle
-    finite = np.isfinite(instance.b)
-    payoff = KnapsackLagrangian(e_r, e_c, np.where(finite, instance.b / instance.T, 0.0))
-    Y = Box(np.zeros(instance.m), np.where(finite, instance.y_max, 0.0))
+    payoff = KnapsackLagrangian(e_r, e_c, instance.b_over_T)
+    Y = Box(np.zeros(instance.m), np.where(np.isfinite(instance.b), instance.y_max, 0.0))
     cfg = cfg or SolverConfig(tol_gap=1e-10, max_iters=200_000)
     return -instance.T * solve_saddle(payoff, instance.X, Y, cfg).certified_value(cfg)
 
@@ -479,7 +492,8 @@ def reward_lower_bound(
     rewards: np.ndarray, consumptions: np.ndarray, instance: KnapsackInstance
 ) -> float:
     """Right-hand side of the pay-per-overage bound: sum r_t(x_t) +
-    min_{y in Y} y . sum(b/T - c_t(x_t)); realized reward always dominates it."""
-    slack = instance.b / instance.T * consumptions.shape[0] - consumptions.sum(axis=0)
+    min_{y in Y} y . sum(b/T - c_t(x_t)); realized reward always dominates it.
+    An infinite budget's y_i is pinned at 0 and adds nothing."""
+    slack = instance.b_over_T * consumptions.shape[0] - consumptions.sum(axis=0)
     penal = float(np.minimum(slack * instance.y_max, 0.0).sum())
     return float(rewards.sum()) + penal

@@ -268,7 +268,7 @@ def _knapsack_blocks(inst: KnapsackInstance, run_seed: int):
     budget for the whole run (``KnapsackEnvironment.settle``), which is
     exact because no knapsack agent reads the budget state."""
     env = KnapsackEnvironment(inst, run_seed)
-    bT = inst.b / inst.T
+    bT = inst.b_over_T
 
     def account(xs, ys):
         out = env.settle(xs)
@@ -831,8 +831,11 @@ def run_experiment(
     workers: int | None = None,
 ) -> ExperimentResult:
     """One independent run per seed; aggregation is a deterministic fold in
-    seed order regardless of worker scheduling."""
+    seed order regardless of worker scheduling.  Raises ValueError on an
+    empty seed list, whose summary would be the NaN mean of no runs."""
     seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds must name at least one run seed")
     scenario = generate_scenario(spec)
     resolved = resolve_parameters(scenario, algo)
     workers = default_workers() if workers is None else max(1, workers)

@@ -3,7 +3,8 @@
 The per-round subproblems of follow-the-leader style algorithms are
 min-max problems over products of compact convex sets.  Every returned
 solution carries a duality gap certified by two exact one-sided inner
-optimizations (``gap_estimate``).  A sum of coefficient rows (p, G, h)
+optimizations (``gap_estimate``; the ``newton`` path has its own form of
+the same certificate, ``_newton_gap``).  A sum of coefficient rows (p, G, h)
 computes both straight from its rows in O(m) arithmetic, with the inner
 argmax that the envelope path also pairs with its x (``_rows_argmax_y``);
 every other payoff the solver accepts restricts in closed form to a
@@ -31,7 +32,10 @@ spent iteration budget.  Each solution names its path in ``path``:
    positive, at every dimension (``_entropic_newton_path``).  Its first
    iterate is the warm start's x, so a converged warm start is certified
    there, paired with its inner maximizer, after 0 steps and with one
-   certificate;
+   certificate.  The pair is certified from the path's own envelope
+   (``_newton_gap``): y is the inner maximizer, so the upper side is the
+   envelope value and only the lower side takes a water-fill, on the S y
+   and log x the path already holds;
 4. ``warm_accept``: an already-converged warm start, for every sum that
    Newton does not take or gives way on;
 5. ``lp``: the simplex method on a pure bilinear sum over two
@@ -512,21 +516,52 @@ def _newton_direction(S, bx, by, theta_y, x, y, grad):
     """(dx, decrement) of the equality-constrained Newton step on the
     entropic envelope at x, where y = y*(x); see ``_entropic_newton_path``.
 
-    Like the rest of the Newton loop, it reduces with bare ufuncs: the
-    ndarray methods and np.outer/np.stack route through Python wrappers
-    that cost more than the arithmetic at these sizes, for the same bits.
+    Like the rest of the Newton loop, it reduces with bare ufuncs and builds
+    H and the two right-hand sides in place: the ndarray methods and
+    np.outer/np.column_stack route through Python wrappers, and each
+    intermediate of an out-of-place H is a d x d temporary, which cost more
+    than the arithmetic at these sizes, for the same bits.
     """
+    d = x.shape[0]
     r = np.sqrt(x)
     y_free = np.where(y > theta_y, y, 0.0)
-    Z = (r[:, None] * S) * np.sqrt(y_free)
+    Z = r[:, None] * S
+    Z *= np.sqrt(y_free)
     v = r * (S @ y_free)
+    H = Z @ Z.T
     # a fully pinned y (a one-point Y) has v = 0 and no curvature term
-    H = (Z @ Z.T - v[:, None] * v / max(float(np.add.reduce(y_free)), 1e-300)) / by
-    H.flat[:: x.shape[0] + 1] += bx
-    sol = np.linalg.solve(H, np.column_stack([r * grad, r]))
+    vv = v[:, None] * v
+    vv /= max(float(np.add.reduce(y_free)), 1e-300)
+    H -= vv
+    H /= by
+    H.flat[:: d + 1] += bx
+    rhs = np.empty((d, 2))
+    rhs[:, 0] = r * grad
+    rhs[:, 1] = r
+    sol = np.linalg.solve(H, rhs)
     a, b = r * sol[:, 0], r * sol[:, 1]
     dx = (np.add.reduce(a) / np.add.reduce(b)) * b - a
     return dx, -float(grad @ dx)
+
+
+def _newton_gap(bx: float, X: Simplex, Y: Simplex, x, y, log_x, Sy) -> float:
+    """The certificate of an entropic-bilinear sum at (x, y*(x)), from the
+    numbers the Newton path already holds at x: log x and S y.
+
+    y is the inner maximizer at x, so max_y' f(x, y') = f(x, y) and the y
+    entropy cancels from the gap, which is
+
+        (bx sum x ln x + x . S y) - min_{x' in X} (x' . S y + bx sum x' ln x'),
+
+    with the minimizer one water-fill (``entropy_tilted_argopt``).  Like
+    ``gap_estimate``, it raises ValueError on a pair outside X x Y by more
+    than 1e-9.
+    """
+    if not X.contains(x, 1e-9) or not Y.contains(y, 1e-9):
+        raise ValueError("the Newton certificate requires a feasible (x, y)")
+    x_min = entropy_tilted_argopt(-Sy, bx, X)
+    lower = float(x_min @ Sy) + bx * negentropy(x_min)
+    return max(bx * float(x @ log_x) + float(x @ Sy) - lower, 0.0)
 
 
 def _entropic_newton_path(f: SumPayoff, X, Y, x0, cfg: SolverConfig) -> SaddleSolution | None:
@@ -547,9 +582,13 @@ def _entropic_newton_path(f: SumPayoff, X, Y, x0, cfg: SolverConfig) -> SaddleSo
     x^-1/2 dx, where H becomes bx*I plus a PSD term.  The step stops short
     of the boundary and backtracks (Armijo) on phi.
 
+    Each iterate's envelope computes y*(x), S y* and log x once; the
+    gradient, the line search and the certificate read them from there.
     The first iterate is x0 itself, floored at 1e-300 and renormalized, so
     a converged warm start stops before any step, with one certificate.
-    The loop stops on the Newton decrement and certifies (x, y*(x)).  The
+    The loop stops on the Newton decrement and certifies (x, y*(x)) from
+    those numbers (``_newton_gap``), with value phi(x) + bx ln d1 - by ln d2,
+    the sum's value there: each entropy regularizer adds its ln d.  The
     entropy is not self-concordant, so near a vertex the decrement can
     understate the distance to the minimizer; a pair that fails tol_gap
     there keeps stepping and is certified after every further step.  None
@@ -564,16 +603,18 @@ def _entropic_newton_path(f: SumPayoff, X, Y, x0, cfg: SolverConfig) -> SaddleSo
     stop = 1e-3 * cfg.tol_gap
 
     def envelope(x):
+        log_x = np.log(x)
         y = entropy_tilted_argopt(S.T @ x, by, Y)
-        return bx * float(x @ np.log(x)) + float(x @ (S @ y)) - by * negentropy(y), y
+        Sy = S @ y
+        return bx * float(x @ log_x) + float(x @ Sy) - by * negentropy(y), y, log_x, Sy
 
     x = np.maximum(x0, 1e-300)
     x = x / np.add.reduce(x)
-    phi, y = envelope(x)
+    phi, y, log_x, Sy = envelope(x)
     steps = 0
     certify_each_step = False
     while True:
-        grad = bx * (1.0 + np.log(x)) + S @ y
+        grad = bx * (1.0 + log_x) + Sy
         # H >= bx diag(1/x) bounds the decrement by the x-weighted variance
         # of grad over bx, which needs no solve
         mean = float(x @ grad)
@@ -585,9 +626,10 @@ def _entropic_newton_path(f: SumPayoff, X, Y, x0, cfg: SolverConfig) -> SaddleSo
         if converged or certify_each_step:
             if np.minimum.reduce(x) < theta_x:
                 return None
-            g = gap_estimate(f, X, Y, x, y)
+            g = _newton_gap(bx, X, Y, x, y, log_x, Sy)
             if g <= cfg.tol_gap:
-                return SaddleSolution(x, y, f.value(x, y), g, steps, "newton")
+                value = phi + bx * math.log(x.shape[0]) - by * math.log(y.shape[0])
+                return SaddleSolution(x, y, value, g, steps, "newton")
             certify_each_step = True
             if dx is None:
                 dx, decrement = _newton_direction(S, bx, by, theta_y, x, y, grad)
@@ -600,13 +642,14 @@ def _entropic_newton_path(f: SumPayoff, X, Y, x0, cfg: SolverConfig) -> SaddleSo
             t = min(t, 0.99 * float(np.minimum.reduce(-x[shrinking] / dx[shrinking])))
         while True:
             x_new = x + t * dx
-            phi_new, y_new = envelope(x_new)
-            if phi_new <= phi - 0.25 * t * decrement:
+            trial = envelope(x_new)
+            if trial[0] <= phi - 0.25 * t * decrement:
                 break
             t *= 0.5
             if t < 1e-10:
                 return None
-        x, phi, y = x_new, phi_new, y_new
+        x = x_new
+        phi, y, log_x, Sy = trial
 
 
 def envelope_argmin(p, G, h: float, X: Box, Y: Box) -> float:

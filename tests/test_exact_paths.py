@@ -264,26 +264,33 @@ def test_newton_reruns_are_bitwise_identical():
 
 def test_omg_rounds_certify_once(monkeypatch):
     """Newton starts at the warm start, so an OMG-RFTL round that ends on
-    Newton makes exactly one certificate: no separate warm-start check."""
-    calls = []
+    Newton makes exactly one certificate, from the path's own envelope
+    (``_newton_gap``): no separate warm-start check and no generic
+    ``gap_estimate``."""
+    calls = {"newton": 0, "generic": 0}
     rounds = []
-    real_gap, real_solve = saddle_solver.gap_estimate, osp_algorithms.solve_saddle
+    real_gap, real_newton_gap = saddle_solver.gap_estimate, saddle_solver._newton_gap
+    real_solve = osp_algorithms.solve_saddle
 
-    def counting_gap(*args):
-        calls.append(1)
-        return real_gap(*args)
+    def counting(key, real):
+        def counted(*args):
+            calls[key] += 1
+            return real(*args)
+
+        return counted
 
     def one_round(f, X, Y, cfg):
-        before = len(calls)
+        before = dict(calls)
         sol = real_solve(f, X, Y, cfg)
-        rounds.append((sol.path, len(calls) - before))
+        rounds.append((sol.path, calls["newton"] - before["newton"], calls["generic"] - before["generic"]))
         return sol
 
-    monkeypatch.setattr(saddle_solver, "gap_estimate", counting_gap)
+    monkeypatch.setattr(saddle_solver, "gap_estimate", counting("generic", real_gap))
+    monkeypatch.setattr(saddle_solver, "_newton_gap", counting("newton", real_newton_gap))
     monkeypatch.setattr(osp_algorithms, "solve_saddle", one_round)
     spec = ScenarioSpec("random_bilinear", T=100, seed=5, params={"d1": 8, "d2": 8})
     run_single(spec, AlgorithmSpec("omg_rftl", {"tol_gap": 1e-6}), 0)
-    assert rounds == [("newton", 1)] * 100
+    assert rounds == [("newton", 1, 0)] * 100
 
 
 # ---------------------------------------------------------------------------

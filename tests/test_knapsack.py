@@ -804,3 +804,30 @@ def test_ocowk_run_matches_a_hand_loop_over_steps(name, budgets, emit_series):
     for k, v in series.items():
         got, want = rep.per_round_series[k], np.asarray(v)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), k
+
+
+@pytest.mark.parametrize("name", ["pd_rftl", "ogda_knapsack", "spftl_knapsack"])
+@pytest.mark.parametrize("budgets", [(np.inf, np.inf), (200.0, np.inf)])
+def test_infinite_budgets_run(name, budgets):
+    """An infinite budget never binds: its per-round row is 0 and its dual
+    is pinned at 0, so every agent runs, with finite regrets and bound."""
+    spec = ScenarioSpec("ocowk_sec8", T=50, seed=3, params={"budgets_per_round": budgets})
+    run = run_single(spec, AlgorithmSpec(name, {}), 0)
+    rep = run.report
+    assert np.all(np.isfinite(run.trace.payoff_values))
+    assert all(np.isfinite(v) for v in (rep.sp_regret, rep.ind_regret_x, rep.ind_regret_y))
+    assert np.isfinite(rep.extras["knapsack_regret"]) and np.isfinite(rep.extras["reward_lower_bound"])
+    if budgets == (np.inf, np.inf):
+        assert not run.trace.violated_flags.any() and rep.extras["violated"] is False
+        assert run.trace.rewards_collected.tobytes() == run.trace.reward_values.tobytes()
+
+
+def test_per_round_budget_row_and_theorem8_steps_at_infinite_budgets():
+    inst = sec82_instance(50, (200.0, np.inf))
+    assert inst.b_over_T.tolist() == [200.0, 0.0] and inst.y_max[1] == 0.0
+    # ||b|| over the finite budgets: the same steps as a zero second budget
+    # with the same y_max
+    same = KnapsackInstance(inst.X, np.array([200.0 * 50, 0.0]), 50, inst.sampler, y_max=inst.y_max.copy())
+    assert theorem8_steps(inst) == theorem8_steps(same)
+    free = theorem8_steps(sec82_instance(50, (np.inf, np.inf)))
+    assert free.eta1 > 0.0 and 0.0 < free.eta2 < np.inf

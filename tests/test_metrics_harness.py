@@ -165,6 +165,13 @@ def test_run_experiment_smoke_and_metric_consistency():
         ) < 1e-9
 
 
+@pytest.mark.parametrize("seeds", [[], range(0), iter(())])
+def test_run_experiment_refuses_an_empty_seed_list(seeds):
+    # the summary of no runs would be the NaN mean of an empty slice
+    with pytest.raises(ValueError, match="seeds"):
+        run_experiment(ScenarioSpec("iid_quadratic", T=5, seed=0), AlgorithmSpec("spftl"), seeds=seeds, workers=1)
+
+
 def test_run_experiment_matches_post_hoc_metrics():
     spec = ScenarioSpec("iid_quadratic", T=40, seed=6)
     res = run_experiment(spec, AlgorithmSpec("spftl"), seeds=[0], workers=1)

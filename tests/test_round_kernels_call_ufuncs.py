@@ -2,10 +2,11 @@
 directly, not numpy's Python-level wrappers.
 
 On the 2- to 64-vectors of a round, np.all, np.any, np.clip, np.sort,
-np.cumsum, np.nonzero, np.zeros_like and np.linalg.norm cost more in their
-wrappers than in the arithmetic.  Each kernel uses a bare form with the same
-bits instead (``test_geometry`` and ``test_payoffs`` check the bits); this
-scan keeps the wrappers from coming back.
+np.cumsum, np.nonzero, np.zeros_like, np.linalg.norm, np.column_stack and
+np.outer cost more in their wrappers than in the arithmetic.  Each kernel
+uses a bare form with the same bits instead (``test_geometry`` and
+``test_payoffs`` check the bits); this scan keeps the wrappers from coming
+back.
 """
 
 import ast
@@ -13,11 +14,30 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "osp_lab"
 
-WRAPPERS = {"np.all", "np.any", "np.clip", "np.sort", "np.cumsum", "np.nonzero", "np.zeros_like", "np.linalg.norm"}
+WRAPPERS = {
+    "np.all",
+    "np.any",
+    "np.clip",
+    "np.sort",
+    "np.cumsum",
+    "np.nonzero",
+    "np.zeros_like",
+    "np.linalg.norm",
+    "np.column_stack",
+    "np.outer",
+}
 
 KERNELS = {
     "geometry.py": ["project_simplex", "Box.project", "Box.contains", "Simplex.project", "Simplex.contains"],
-    "saddle_solver.py": ["_operator", "_norm", "_estimate_lipschitz", "_mirror_prox"],
+    "saddle_solver.py": [
+        "_operator",
+        "_norm",
+        "_estimate_lipschitz",
+        "_mirror_prox",
+        "_newton_direction",
+        "_newton_gap",
+        "_entropic_newton_path",
+    ],
     "payoffs.py": ["SumPayoff.grad_x", "SumPayoff.grad_y", "SeparableQuadratic.minimize_over"],
 }
 
